@@ -5,10 +5,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -16,17 +14,6 @@ import numpy as np
 from . import baselines, pipeline
 from .params import Neighboring, PrivacyParams
 from .primitive import OptPrimitive, pi_opt, pi_opt_many, should_keep
-
-
-def _threads() -> int:
-    raw = os.environ.get("DP_PS_THREADS", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value >= 1:
-        return value
-    return min(8, os.cpu_count() or 1)
 
 
 def _friendly_errors(fn):
@@ -157,12 +144,7 @@ def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, ou
         grid = np.geomspace(lo, hi, points)
         budgets = [_params(epsilon, float(d), neighboring) for d in grid]
         key = "del"
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_percentile_row, budgets))
-    else:
-        rows = [_percentile_row(b) for b in budgets]
+    rows = [_percentile_row(b) for b in budgets]
     header = [key, "opt05", "opt50", "opt95", "lap05", "lap50", "lap95"]
     _write_csv(out, header, ([_fmt(float(g))] + row for g, row in zip(grid, rows)))
 
@@ -201,13 +183,7 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
         )
         return [kap, opt_mid, lap_mid, gauss_mid]
 
-    kappas = list(range(1, kappa_max + 1))
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(row, kappas))
-    else:
-        rows = [row(k) for k in kappas]
+    rows = [row(k) for k in range(1, kappa_max + 1)]
     _write_csv(out, ["kappa", "opt_mid", "lap_mid", "gauss_mid"], rows)
 
 
@@ -223,7 +199,6 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
 @click.option("--delta", type=float, required=True)
 @click.option("--kappa", type=int, default=1, show_default=True, help="Divide the budget for users touching up to kappa partitions.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cap", type=int, default=None, help="Stop counting a partition at this many users (select mode only).")
 @click.option(
     "--conflict",
     type=click.Choice([m.value for m in pipeline.IngestMode]),
@@ -237,26 +212,28 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
 @_out_option
 @_friendly_errors
 def select(
-    input_path, mode, epsilon, delta, kappa, seed, cap, conflict,
+    input_path, mode, epsilon, delta, kappa, seed, conflict,
     public_file, public_threshold, neighboring, out,
 ) -> None:
     """Run the private release pipeline over a user_id,partition CSV."""
+    if mode != "dual" and (public_file is not None or public_threshold is not None):
+        raise pipeline.ConfigurationError(
+            "--public-file and --public-threshold apply only to --mode dual"
+        )
     params = _params(epsilon, delta, neighboring).split(kappa)
     hist = pipeline.ingest(
         pipeline.read_rows(input_path),
         mode=pipeline.IngestMode(conflict),
-        cap=cap,
         max_partitions_per_user=kappa,
     )
-    threads = _threads()
     if mode == "select":
         prim = OptPrimitive.from_params(params)
-        kept = pipeline.select_partitions(hist, prim, seed, threads=threads)
+        kept = pipeline.select_partitions(hist, prim, seed)
         with click.open_file(out, "w", encoding="utf-8") as f:
             pipeline.write_selection(kept, f)
         return
     if mode == "release-counts":
-        records = pipeline.thresholded_release(hist, params, seed, threads=threads)
+        records = pipeline.thresholded_release(hist, params, seed)
     else:
         if public_file is None or public_threshold is None:
             raise pipeline.ConfigurationError(
@@ -264,9 +241,7 @@ def select(
             )
         with open(public_file, encoding="utf-8") as f:
             public = [line.rstrip("\n") for line in f if line.strip()]
-        records = pipeline.dual_threshold_release(
-            hist, public, params, public_threshold, seed, threads=threads
-        )
+        records = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
     with click.open_file(out, "w", encoding="utf-8") as f:
         pipeline.write_release(records, f)
 

@@ -1,8 +1,9 @@
 """Streaming (user, partition) ingestion and the private release modes.
 
-Randomness for every per-partition decision is derived from a master seed
-and a keyed hash of the partition, so outputs are identical regardless of
-row order during ingestion, shard layout, or thread count.
+Ingestion keeps one unique-user count per partition. Randomness for every
+per-partition decision is derived from a master seed and a keyed hash of the
+partition, so outputs are identical regardless of row order during ingestion
+or shard layout.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import enum
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -40,79 +40,33 @@ class IngestMode(enum.Enum):
 
 
 class PartitionHistogram:
-    """Unique-user counts per partition key.
+    """Unique-user counts per partition key: every count is an integer >= 1.
 
-    Per-partition dedup state is a set of user ids that is dropped as soon as
-    the optional cap is reached, so capped ingestion holds at most ``cap``
-    ids per partition no matter how many rows stream in.
+    Deduplication happens in :func:`ingest`, which builds the counts; a
+    histogram only stores them and adds up user-disjoint shards.
     """
 
-    __slots__ = ("cap", "_counts", "_users")
+    __slots__ = ("_counts",)
 
-    def __init__(self, cap: int | None = None):
-        if cap is not None and (not isinstance(cap, int) or cap < 1):
-            raise ConfigurationError(f"cap must be a positive integer, got {cap!r}")
-        self.cap = cap
+    def __init__(self):
         self._counts: dict[str, int] = {}
-        # None means the entry is frozen: saturated at the cap, or fixed-count.
-        self._users: dict[str, set[str] | None] = {}
 
     @classmethod
-    def from_counts(cls, counts: Mapping[str, int], cap: int | None = None) -> PartitionHistogram:
-        """Histogram with known counts and no dedup state (entries are frozen)."""
-        hist = cls(cap=cap)
+    def from_counts(cls, counts: Mapping[str, int]) -> PartitionHistogram:
+        """Histogram with known counts."""
+        hist = cls()
         for key, n in counts.items():
             if not isinstance(key, str) or not key:
                 raise ConfigurationError(f"partition keys must be nonempty strings, got {key!r}")
             if not isinstance(n, int) or n < 1:
                 raise ConfigurationError(f"count for {key!r} must be an integer >= 1, got {n!r}")
-            if cap is not None and n > cap:
-                raise ConfigurationError(f"count {n} for {key!r} exceeds the cap {cap}")
             hist._counts[key] = n
-            hist._users[key] = None
         return hist
-
-    def add(self, user_id: str, partition: str) -> None:
-        """Count ``user_id`` toward ``partition`` unless already seen or capped out."""
-        n = self._counts.get(partition, 0)
-        if self.cap is not None and n >= self.cap:
-            return
-        users = self._users.get(partition)
-        if users is None:
-            if partition in self._users:
-                raise ConfigurationError(
-                    f"entry {partition!r} holds a fixed count and cannot be extended"
-                )
-            users = set()
-            self._users[partition] = users
-        if user_id in users:
-            return
-        users.add(user_id)
-        n += 1
-        self._counts[partition] = n
-        if self.cap is not None and n >= self.cap:
-            self._users[partition] = None
 
     def merge(self, other: PartitionHistogram) -> None:
         """Fold a shard histogram in. Shards must not share users (route rows by user)."""
-        if self.cap != other.cap:
-            raise ConfigurationError(f"cannot merge histograms with caps {self.cap} and {other.cap}")
-        for key, n_other in other._counts.items():
-            n = self._counts.get(key, 0) + n_other
-            if self.cap is not None and n >= self.cap:
-                self._counts[key] = self.cap
-                self._users[key] = None
-                continue
-            self._counts[key] = n
-            theirs = other._users.get(key)
-            if key not in self._users:
-                self._users[key] = None if theirs is None else set(theirs)
-            else:
-                mine = self._users[key]
-                if mine is None or theirs is None:
-                    self._users[key] = None
-                else:
-                    mine |= theirs
+        for key, n in other._counts.items():
+            self._counts[key] = self._counts.get(key, 0) + n
 
     def count(self, partition: str) -> int:
         return self._counts.get(partition, 0)
@@ -132,10 +86,10 @@ class PartitionHistogram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionHistogram):
             return NotImplemented
-        return self.cap == other.cap and self._counts == other._counts
+        return self._counts == other._counts
 
     def __repr__(self) -> str:
-        return f"PartitionHistogram(cap={self.cap}, partitions={len(self._counts)})"
+        return f"PartitionHistogram(partitions={len(self._counts)})"
 
 
 @dataclass(frozen=True, order=True)
@@ -149,7 +103,6 @@ class ReleaseRecord:
 def ingest(
     rows: Iterable[tuple[str, str]],
     mode: IngestMode = IngestMode.STRICT,
-    cap: int | None = None,
     max_partitions_per_user: int = 1,
 ) -> PartitionHistogram:
     """Count unique users per partition.
@@ -163,8 +116,9 @@ def ingest(
         raise ConfigurationError(
             f"max_partitions_per_user must be >= 1, got {max_partitions_per_user!r}"
         )
-    hist = PartitionHistogram(cap=cap)
-    seen: dict[str, set[str]] = {}
+    hist = PartitionHistogram()
+    counts = hist._counts
+    seen: dict[str, tuple[str, ...]] = {}
     for i, row in enumerate(rows, start=1):
         try:
             user_id, partition = row
@@ -172,17 +126,18 @@ def ingest(
             raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
         if not isinstance(user_id, str) or not user_id or not isinstance(partition, str) or not partition:
             raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
-        parts = seen.setdefault(user_id, set())
-        if partition not in parts:
-            if len(parts) >= max_partitions_per_user:
-                if mode is IngestMode.STRICT:
-                    raise StrictViolationError(
-                        f"user {user_id!r} contributes more than "
-                        f"{max_partitions_per_user} partition(s)"
-                    )
-                continue
-            parts.add(partition)
-        hist.add(user_id, partition)
+        parts = seen.get(user_id, ())
+        if partition in parts:
+            continue
+        if len(parts) >= max_partitions_per_user:
+            if mode is IngestMode.STRICT:
+                raise StrictViolationError(
+                    f"user {user_id!r} contributes more than "
+                    f"{max_partitions_per_user} partition(s)"
+                )
+            continue
+        seen[user_id] = parts + (partition,)
+        counts[partition] = counts.get(partition, 0) + 1
     return hist
 
 
@@ -196,21 +151,23 @@ def read_rows(source: str | os.PathLike | TextIO) -> Iterator[tuple[str, str]]:
 
 
 def _read_csv(f: TextIO) -> Iterator[tuple[str, str]]:
-    reader = csv.reader(f)
+    reader = csv.reader(f, strict=True)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError("line 1: missing header 'user_id,partition'") from None
-    if header != ["user_id", "partition"]:
-        raise InputFormatError(f"line 1: expected header 'user_id,partition', got {header!r}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2 or not row[0] or not row[1]:
-            raise InputFormatError(
-                f"line {reader.line_num}: expected 'user_id,partition' with nonempty fields"
-            )
-        yield row[0], row[1]
+        header = next(reader, None)
+        if header is None:
+            raise InputFormatError("line 1: missing header 'user_id,partition'")
+        if header != ["user_id", "partition"]:
+            raise InputFormatError(f"line 1: expected header 'user_id,partition', got {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2 or not row[0] or not row[1]:
+                raise InputFormatError(
+                    f"line {reader.line_num}: expected 'user_id,partition' with nonempty fields"
+                )
+            yield row[0], row[1]
+    except csv.Error as exc:
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -225,50 +182,29 @@ def _partition_rng(seed: int, purpose: bytes, key: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(mac.digest(), "little"))
 
 
-def _map_keys(keys, fn, threads: int):
-    if threads <= 1 or len(keys) < 2:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, keys))
-
-
-def select_partitions(
-    hist: PartitionHistogram, prim: OptPrimitive, seed: int, threads: int = 1
-) -> set[str]:
+def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -> set[str]:
     """Independently keep each present partition with its optimal probability."""
     _check_seed(seed)
-    if hist.cap is not None and hist.cap < prim.min_cap():
-        raise ConfigurationError(
-            f"cap {hist.cap} can distort keep probabilities; this budget needs >= {prim.min_cap()}"
-        )
-    counts = hist._counts
-    keys = sorted(counts)
-
-    def decide(key: str) -> bool:
-        return _partition_rng(seed, b"select", key).random() < pi_opt(prim, counts[key])
-
-    flags = _map_keys(keys, decide, threads)
-    return {key for key, flag in zip(keys, flags) if flag}
+    return {
+        key
+        for key, n in hist._counts.items()
+        if _partition_rng(seed, b"select", key).random() < pi_opt(prim, n)
+    }
 
 
 def thresholded_release(
-    hist: PartitionHistogram, params: PrivacyParams, seed: int, threads: int = 1
+    hist: PartitionHistogram, params: PrivacyParams, seed: int
 ) -> list[ReleaseRecord]:
     """Noise every present count; release key and noisy count when it exceeds k."""
     _check_seed(seed)
-    if hist.cap is not None:
-        raise ConfigurationError(
-            "count release publishes true counts; build the histogram without a cap"
-        )
     noise = tsgd_params(params)
     counts = hist._counts
-    keys = sorted(counts)
-
-    def noised(key: str) -> int:
-        return counts[key] + tsgd_sample(noise, _partition_rng(seed, b"release", key))
-
-    values = _map_keys(keys, noised, threads)
-    return [ReleaseRecord(k, v) for k, v in zip(keys, values) if v > noise.k]
+    records = []
+    for key in sorted(counts):
+        noisy = counts[key] + tsgd_sample(noise, _partition_rng(seed, b"release", key))
+        if noisy > noise.k:
+            records.append(ReleaseRecord(key, noisy))
+    return records
 
 
 def dual_threshold_release(
@@ -277,7 +213,6 @@ def dual_threshold_release(
     params: PrivacyParams,
     public_threshold: int,
     seed: int,
-    threads: int = 1,
 ) -> list[ReleaseRecord]:
     """Noise public keys (absent ones at zero) and present private keys.
 
@@ -287,10 +222,6 @@ def dual_threshold_release(
     absent public key through), while k admits only keys actually present.
     """
     _check_seed(seed)
-    if hist.cap is not None:
-        raise ConfigurationError(
-            "count release publishes true counts; build the histogram without a cap"
-        )
     noise = tsgd_params(params)
     if not isinstance(public_threshold, int) or not -noise.k <= public_threshold <= noise.k:
         raise ConfigurationError(
@@ -302,15 +233,13 @@ def dual_threshold_release(
         if not isinstance(key, str) or not key:
             raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
     counts = hist._counts
-    keys = sorted(set(counts) | public)
-
-    def decide(key: str) -> ReleaseRecord | None:
+    records = []
+    for key in sorted(set(counts) | public):
         noisy = counts.get(key, 0) + tsgd_sample(noise, _partition_rng(seed, b"dual", key))
         bound = public_threshold if key in public else noise.k
-        return ReleaseRecord(key, noisy) if noisy > bound else None
-
-    records = _map_keys(keys, decide, threads)
-    return [r for r in records if r is not None]
+        if noisy > bound:
+            records.append(ReleaseRecord(key, noisy))
+    return records
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:

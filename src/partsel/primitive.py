@@ -129,15 +129,6 @@ class OptPrimitive:
         n2 = compute_n2(params, n1, pi_n1)
         return cls(params=params, n1=n1, n2=n2, pi_n1=pi_n1)
 
-    def min_cap(self) -> int:
-        """Smallest histogram cap that cannot distort any keep decision."""
-        eps, delta = self.params.effective_epsilon, self.params.effective_delta
-        if delta == 0.0:
-            return 0
-        if eps == 0.0:
-            return math.ceil(_snap(1.0 / delta))
-        return self.n2
-
 
 def pi_opt(prim: OptPrimitive, n: int) -> float:
     """Probability of keeping a partition with ``n`` unique users."""

@@ -128,21 +128,6 @@ class TestSelect:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes()  # something was selected at this delta
 
-    def test_thread_count_does_not_change_output(self, runner, tmp_path):
-        data = tmp_path / "rows.csv"
-        _write_input(data, [(f"u{i}", f"p{i % 33}") for i in range(600)])
-        args = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.02",
-                "--mode", "release-counts", "--seed", "11"]
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.csv"
-            result = runner.invoke(
-                main, [*args, "--out", str(out)], env={"DP_PS_THREADS": threads}
-            )
-            assert result.exit_code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_replace_model_equals_halved_budget(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         _write_input(data, [(f"u{i}", f"p{i % 10}") for i in range(200)])
@@ -207,21 +192,18 @@ class TestSelect:
 
     def test_malformed_input_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
-        data.write_text("user_id,partition\nu1,a\nu2\n", encoding="utf-8")
-        result = runner.invoke(
-            main, ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5"]
-        )
-        assert result.exit_code == 2
-        assert "line 3" in result.output
-
-    def test_small_cap_exits_2(self, runner, tmp_path):
-        data = tmp_path / "rows.csv"
-        _write_input(data, [("u1", "a")])
-        result = runner.invoke(
-            main,
-            ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5", "--cap", "3"],
-        )
-        assert result.exit_code == 2
+        for body, line in (
+            ("u1,a\nu2\n", 3),
+            ('u1,a\nu2,"unterminated', 3),
+            ('u1,"a"b\n', 2),
+            ("u1," + "x" * 131_073 + "\n", 2),
+        ):
+            data.write_text("user_id,partition\n" + body, encoding="utf-8")
+            result = runner.invoke(
+                main, ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5"]
+            )
+            assert result.exit_code == 2
+            assert f"line {line}:" in result.output
 
     def test_dual_without_public_config_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
@@ -231,6 +213,21 @@ class TestSelect:
             ["select", "--input", str(data), "--mode", "dual", "--epsilon", "1", "--delta", "1e-5"],
         )
         assert result.exit_code == 2
+
+    def test_dual_flags_outside_dual_mode_exit_2(self, runner, tmp_path):
+        data = tmp_path / "rows.csv"
+        _write_input(data, [("u1", "a")])
+        public = tmp_path / "public.txt"
+        public.write_text("a\n", encoding="utf-8")
+        for mode in ("select", "release-counts"):
+            for flag in (["--public-file", str(public)], ["--public-threshold", "0"]):
+                result = runner.invoke(
+                    main,
+                    ["select", "--input", str(data), "--mode", mode, "--epsilon", "1",
+                     "--delta", "1e-5", *flag],
+                )
+                assert result.exit_code == 2
+                assert "--mode dual" in result.output
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,47 +37,9 @@ class TestHistogram:
         hist = ingest([("u1", "a"), ("u1", "a"), ("u2", "a")])
         assert hist.counts() == {"a": 2}
 
-    def test_cap_stops_counting_and_drops_state(self):
-        hist = PartitionHistogram(cap=3)
-        for i in range(10):
-            hist.add(f"u{i}", "a")
-        assert hist.count("a") == 3
-        assert hist._users["a"] is None  # dedup state released at the cap
-
-    def test_capped_dedup_state_bounded(self):
-        hist = ingest(
-            ((f"u{i}", f"p{i % 50}") for i in range(5000)),
-            cap=20,
-        )
-        assert all(
-            users is None or len(users) <= 20 for users in hist._users.values()
-        )
-        assert all(n <= 20 for n in hist.counts().values())
-
     def test_from_counts_is_frozen(self):
-        hist = PartitionHistogram.from_counts({"a": 4})
-        with pytest.raises(ConfigurationError):
-            hist.add("u1", "a")
         with pytest.raises(ConfigurationError):
             PartitionHistogram.from_counts({"a": 0})
-        with pytest.raises(ConfigurationError):
-            PartitionHistogram.from_counts({"a": 9}, cap=5)
-
-    def test_merge_requires_matching_caps(self):
-        a = PartitionHistogram(cap=5)
-        b = PartitionHistogram()
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
-
-    def test_merge_caps_combined_counts(self):
-        a = PartitionHistogram(cap=5)
-        b = PartitionHistogram(cap=5)
-        for i in range(3):
-            a.add(f"u{i}", "x")
-        for i in range(3, 7):
-            b.add(f"u{i}", "x")
-        a.merge(b)
-        assert a.count("x") == 5
 
 
 class TestIngest:
@@ -111,17 +74,34 @@ class TestIngest:
             max_size=150,
         ),
         shards=st.integers(min_value=1, max_value=5),
+        kappa=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(list(IngestMode)),
     )
-    def test_sharded_ingest_equals_single_pass(self, rows, shards):
+    def test_sharded_ingest_equals_single_pass(self, rows, shards, kappa, mode):
+        # oracle: replay the rows into a set of kept (user, partition) pairs
+        kept: set[tuple[str, str]] = set()
+        over_bound = False
+        for user, part in rows:
+            if (user, part) in kept:
+                continue
+            if sum(u == user for u, _ in kept) >= kappa:
+                over_bound = True
+                continue
+            kept.add((user, part))
+        if mode is IngestMode.STRICT and over_bound:
+            with pytest.raises(StrictViolationError):
+                ingest(rows, mode=mode, max_partitions_per_user=kappa)
+            return
+        single = ingest(rows, mode=mode, max_partitions_per_user=kappa)
+        assert single.counts() == Counter(part for _, part in kept)
         # routing rows by user keeps each user's stream intact per shard
-        single = ingest(rows, mode=IngestMode.FIRST_WINS, cap=3)
         buckets = [[] for _ in range(shards)]
         for user, part in rows:
             idx = hashlib.blake2b(user.encode(), digest_size=2).digest()[0] % shards
             buckets[idx].append((user, part))
-        merged = PartitionHistogram(cap=3)
+        merged = PartitionHistogram()
         for bucket in buckets:
-            merged.merge(ingest(bucket, mode=IngestMode.FIRST_WINS, cap=3))
+            merged.merge(ingest(bucket, mode=mode, max_partitions_per_user=kappa))
         assert merged == single
 
 
@@ -136,8 +116,14 @@ class TestCsvReader:
             list(read_rows(io.StringIO("uid,part\nu1,a\n")))
 
     def test_rejects_short_row_with_line_number(self):
-        with pytest.raises(InputFormatError, match="line 3"):
-            list(read_rows(io.StringIO("user_id,partition\nu1,a\nu2\n")))
+        for body, line in (
+            ("u1,a\nu2\n", 3),
+            ('u1,a\nu2,"unterminated', 3),
+            ('u1,"a"b\n', 2),
+            ("u1," + "x" * 131_073 + "\n", 2),
+        ):
+            with pytest.raises(InputFormatError, match=f"line {line}:"):
+                list(read_rows(io.StringIO("user_id,partition\n" + body)))
 
 
 class TestSelect:
@@ -156,32 +142,11 @@ class TestSelect:
         sigma = math.sqrt(p * (1.0 - p) / 30_000)
         assert abs(len(kept) / 30_000 - p) < 3.0 * sigma
 
-    def test_small_cap_rejected(self):
-        prim = OptPrimitive.from_params(PARAMS)
-        hist = PartitionHistogram.from_counts({"a": 2}, cap=5)
-        with pytest.raises(ConfigurationError):
-            select_partitions(hist, prim, seed=0)
-
-    def test_sufficient_cap_accepted(self):
-        prim = OptPrimitive.from_params(PARAMS)
-        hist = PartitionHistogram.from_counts({"a": 2}, cap=prim.n2)
-        select_partitions(hist, prim, seed=0)
-
-    def test_cap_check_for_linear_budget(self):
-        # with eps=0 the curve saturates at ceil(1/delta), not at a crossover
-        prim = OptPrimitive.from_params(PrivacyParams(0.0, 0.25))
-        small = PartitionHistogram.from_counts({"a": 2}, cap=3)
-        with pytest.raises(ConfigurationError):
-            select_partitions(small, prim, seed=0)
-        enough = PartitionHistogram.from_counts({"a": 4}, cap=4)
-        assert select_partitions(enough, prim, seed=0) == {"a"}  # pi(4) = 1
-
     def test_deterministic_and_thread_invariant(self):
         prim = OptPrimitive.from_params(PrivacyParams(1.0, 0.05))
         hist = PartitionHistogram.from_counts({f"p{i}": 1 + i % 7 for i in range(500)})
         base = select_partitions(hist, prim, seed=4)
         assert select_partitions(hist, prim, seed=4) == base
-        assert select_partitions(hist, prim, seed=4, threads=4) == base
         assert select_partitions(hist, prim, seed=5) != base
 
     def test_seed_validation(self):
@@ -192,11 +157,6 @@ class TestSelect:
 
 
 class TestThresholdedRelease:
-    def test_requires_uncapped_histogram(self):
-        hist = PartitionHistogram.from_counts({"a": 3}, cap=100)
-        with pytest.raises(ConfigurationError):
-            thresholded_release(hist, PARAMS, seed=0)
-
     def test_saturated_count_always_released_within_noise_bounds(self):
         noise = tsgd_params(PARAMS)
         n = 2 * noise.k + 1
@@ -262,11 +222,6 @@ class TestDualThresholdRelease:
         for bad in (noise.k + 1, -noise.k - 1):
             with pytest.raises(ConfigurationError):
                 dual_threshold_release(hist, ["a"], PARAMS, bad, seed=0)
-
-    def test_requires_uncapped_histogram(self):
-        hist = PartitionHistogram.from_counts({"a": 2}, cap=50)
-        with pytest.raises(ConfigurationError):
-            dual_threshold_release(hist, ["a"], PARAMS, 0, seed=0)
 
 
 class TestWriters:
