@@ -6,15 +6,28 @@ headline utility number used to compare strategies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy import optimize, stats
-
 from .params import PrivacyParams
 
-_norm = stats.norm
+
+# Only the Gaussian baseline needs scipy, and importing it costs most of a CLI
+# start-up, so it is imported on first use and never by the select path.
+@functools.cache
+def _norm():
+    from scipy import stats
+
+    return stats.norm
+
+
+@functools.cache
+def _brentq():
+    from scipy import optimize
+
+    return optimize.brentq
 
 
 @dataclass(frozen=True)
@@ -72,10 +85,11 @@ class GaussianPrimitive:
 
 def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> float:
     """log of the privacy profile delta(sigma) of the Gaussian mechanism."""
+    norm = _norm()
     a = sensitivity / (2.0 * sigma)
     b = epsilon * sigma / sensitivity
-    x = float(_norm.logcdf(a - b))
-    y = epsilon + float(_norm.logcdf(-a - b))
+    x = float(norm.logcdf(a - b))
+    y = epsilon + float(norm.logcdf(-a - b))
     if y >= x:
         return -math.inf
     return x + math.log1p(-math.exp(y - x))
@@ -121,7 +135,7 @@ def calibrate_gaussian_sigma(
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from above")
     return float(
-        optimize.brentq(
+        _brentq()(
             lambda s: _log_delta_gaussian(s, epsilon, sensitivity) - target,
             lo,
             hi,
@@ -156,7 +170,7 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         sigma = calibrate_gaussian_sigma(eps, delta_noise, sensitivity)
         # per-count tail bound: 1 - (1 - delta_threshold)^(1/kappa)
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
-        threshold = 1.0 + sigma * float(_norm.isf(tail))
+        threshold = 1.0 + sigma * float(_norm().isf(tail))
         return GaussianPrimitive(eps, delta_noise, delta_threshold, sigma, threshold, kappa)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -183,7 +197,7 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
         raise ValueError(f"count must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    return float(_norm.sf((prim.threshold - n) / prim.sigma))
+    return float(_norm().sf((prim.threshold - n) / prim.sigma))
 
 
 def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:

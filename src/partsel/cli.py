@@ -253,7 +253,7 @@ def select(
 @click.option("--seed", type=int, default=0, show_default=True)
 @_friendly_errors
 def bench(iterations, epsilon, delta, seed) -> None:
-    """Time closed-form keep decisions (probability evaluation + Bernoulli draw)."""
+    """Time closed-form keep decisions, and the pipeline's select path per key."""
     if iterations < 1:
         raise pipeline.ConfigurationError(f"--iterations must be >= 1, got {iterations}")
     params = PrivacyParams(epsilon, delta)
@@ -274,6 +274,15 @@ def bench(iterations, epsilon, delta, seed) -> None:
         should_keep(prim, prim.n1, rng)
     elapsed = time.perf_counter() - start
     click.echo(f"scalar n=n1: {elapsed * 1e9 / scalar_iters:.0f} ns/op ({scalar_iters} calls)")
+    counts = rng.integers(1, prim.n2 + 50, size=scalar_iters).tolist()
+    hist = pipeline.PartitionHistogram.from_counts({f"p{i}": n for i, n in enumerate(counts)})
+    start = time.perf_counter()
+    kept = pipeline.select_partitions(hist, prim, seed)
+    elapsed = time.perf_counter() - start
+    click.echo(
+        f"pipeline select_partitions: {elapsed * 1e9 / scalar_iters:.0f} ns/key "
+        f"({scalar_iters} keys, kept {len(kept)})"
+    )
 
 
 if __name__ == "__main__":

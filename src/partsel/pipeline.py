@@ -1,9 +1,12 @@
 """Streaming (user, partition) ingestion and the private release modes.
 
-Ingestion keeps one unique-user count per partition. Randomness for every
-per-partition decision is derived from a master seed and a keyed hash of the
-partition, so outputs are identical regardless of row order during ingestion
-or shard layout.
+Ingestion keeps one unique-user count per partition. Every per-partition
+decision draws on one 53-bit uniform integer: the top 53 bits of the
+partition key's BLAKE2b-64 digest (the key's UTF-8 bytes, keyed by the seed
+as 8 little-endian bytes and personalised by the mode: ``select``,
+``release`` or ``dual``). A decision therefore depends only on the seed, the
+mode, the key and its count, never on row order, shard layout or the other
+keys, and all keys of a release are decided in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -13,13 +16,20 @@ import enum
 import hashlib
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
 from .params import PrivacyParams
-from .primitive import OptPrimitive, pi_opt
-from .truncated_geometric import tsgd_params, tsgd_sample
+from .primitive import OptPrimitive, keep_thresholds
+from .truncated_geometric import (
+    _INVERSION_LIMIT,
+    TsgdParams,
+    tsgd_inverse,
+    tsgd_params,
+    tsgd_sample,
+)
 
 
 class ConfigurationError(ValueError):
@@ -175,21 +185,45 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _partition_rng(seed: int, purpose: bytes, key: str) -> np.random.Generator:
-    mac = hashlib.blake2b(
-        key.encode("utf-8"), digest_size=16, key=seed.to_bytes(8, "little"), person=purpose
-    )
-    return np.random.default_rng(int.from_bytes(mac.digest(), "little"))
+def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> np.ndarray:
+    """Each key's 53-bit uniform integer: the top bits of its keyed BLAKE2b-64 digest."""
+    mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
+    digests = []
+    for key in keys:
+        h = mac.copy()
+        h.update(key.encode("utf-8"))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8") >> 11
+
+
+def _noise(noise: TsgdParams, u53: np.ndarray) -> np.ndarray:
+    """One truncated-geometric draw per key, taken from its uniform."""
+    if noise.k > _INVERSION_LIMIT:
+        # Rejection may need several draws, so each key seeds a generator of its own.
+        return np.array(
+            [tsgd_sample(noise, np.random.default_rng(u)) for u in u53.tolist()], dtype=np.int64
+        )
+    return tsgd_inverse(noise, u53 * 2.0**-53)
+
+
+def _records(keys: list[str], noisy: np.ndarray, released: np.ndarray) -> list[ReleaseRecord]:
+    """The released keys with their noisy counts, sorted by key."""
+    pairs = sorted(zip(compress(keys, released.tolist()), noisy[released].tolist()))
+    return [ReleaseRecord(key, n) for key, n in pairs]
 
 
 def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -> set[str]:
-    """Independently keep each present partition with its optimal probability."""
+    """Independently keep each present partition with its optimal probability.
+
+    A key is kept when its uniform lies below T(n) = floor(pi(n) * 2^53), so
+    its realised keep probability never exceeds ``pi(n)``.
+    """
     _check_seed(seed)
-    return {
-        key
-        for key, n in hist._counts.items()
-        if _partition_rng(seed, b"select", key).random() < pi_opt(prim, n)
-    }
+    counts = hist._counts
+    keys = list(counts)
+    ns = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
+    kept = _uniforms(seed, b"select", keys) < keep_thresholds(prim, ns)
+    return set(compress(keys, kept.tolist()))
 
 
 def thresholded_release(
@@ -199,12 +233,10 @@ def thresholded_release(
     _check_seed(seed)
     noise = tsgd_params(params)
     counts = hist._counts
-    records = []
-    for key in sorted(counts):
-        noisy = counts[key] + tsgd_sample(noise, _partition_rng(seed, b"release", key))
-        if noisy > noise.k:
-            records.append(ReleaseRecord(key, noisy))
-    return records
+    keys = list(counts)
+    ns = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
+    noisy = ns + _noise(noise, _uniforms(seed, b"release", keys))
+    return _records(keys, noisy, noisy > noise.k)
 
 
 def dual_threshold_release(
@@ -233,13 +265,14 @@ def dual_threshold_release(
         if not isinstance(key, str) or not key:
             raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
     counts = hist._counts
-    records = []
-    for key in sorted(set(counts) | public):
-        noisy = counts.get(key, 0) + tsgd_sample(noise, _partition_rng(seed, b"dual", key))
-        bound = public_threshold if key in public else noise.k
-        if noisy > bound:
-            records.append(ReleaseRecord(key, noisy))
-    return records
+    keys = [key for key in counts if key not in public]
+    private = len(keys)
+    keys += public
+    bounds = np.full(len(keys), public_threshold, dtype=np.int64)
+    bounds[:private] = noise.k
+    ns = np.fromiter((counts.get(key, 0) for key in keys), dtype=np.int64, count=len(keys))
+    noisy = ns + _noise(noise, _uniforms(seed, b"dual", keys))
+    return _records(keys, noisy, noisy > bounds)
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:

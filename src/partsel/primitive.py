@@ -178,6 +178,16 @@ def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
     return out
 
 
+def keep_thresholds(prim: OptPrimitive, ns) -> np.ndarray:
+    """Integer keep thresholds T(n) = floor(pi(n) * 2^53) over an array of counts.
+
+    A partition whose 53-bit uniform integer ``u`` satisfies ``u < T(n)`` is
+    kept, so the realised keep probability T(n) / 2^53 is ``pi(n)`` rounded
+    down to the 2^-53 grid and never exceeds it.
+    """
+    return np.floor(pi_opt_many(prim, ns) * 2.0**53).astype(np.uint64)
+
+
 def pi_opt_recursive(params: PrivacyParams, n: int) -> float:
     """O(n) reference recurrence for the keep probability (test oracle).
 

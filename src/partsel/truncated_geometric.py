@@ -129,19 +129,26 @@ def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
     return max(0.0, 1.0 - _tail_from_below(t, t.k + y - mu))
 
 
+def tsgd_inverse(t: TsgdParams, u) -> np.ndarray:
+    """Inverse transform: for each uniform in [0, 1), the outcome in [-k, k] it falls on.
+
+    Only for ``k <= _INVERSION_LIMIT``; above it there is no table to invert.
+    """
+    return np.searchsorted(t._cdf, u, side="right").astype(np.int64) - t.k
+
+
 def tsgd_sample(t: TsgdParams, rng: np.random.Generator) -> int:
     """One draw, by inverse transform over the 2k+1 outcomes."""
     if t.k > _INVERSION_LIMIT:
         return _sample_rejection(t, rng)
-    return int(np.searchsorted(t._cdf, rng.random(), side="right")) - t.k
+    return int(tsgd_inverse(t, rng.random()))
 
 
 def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized draws sharing one generator."""
     if t.k > _INVERSION_LIMIT:
         return np.array([_sample_rejection(t, rng) for _ in range(size)], dtype=np.int64)
-    idx = np.searchsorted(t._cdf, rng.random(size), side="right")
-    return idx.astype(np.int64) - t.k
+    return tsgd_inverse(t, rng.random(size))
 
 
 def _sample_rejection(t: TsgdParams, rng: np.random.Generator) -> int:

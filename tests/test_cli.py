@@ -1,10 +1,16 @@
 import csv
 import io
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import partsel
 from partsel import OptPrimitive, PrivacyParams, pi_opt
 from partsel.cli import main
 
@@ -229,6 +235,41 @@ class TestSelect:
                 assert result.exit_code == 2
                 assert "--mode dual" in result.output
 
+    def test_select_never_imports_scipy(self, tmp_path):
+        data = tmp_path / "rows.csv"
+        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
+        public = tmp_path / "public.txt"
+        public.write_text("p1\nabsent\n", encoding="utf-8")
+        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05",
+                  "--out", str(tmp_path / "out")]
+        argvs = [
+            ["--help"],
+            common,
+            [*common, "--mode", "release-counts"],
+            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+        ]
+        # A fresh interpreter runs each command as `python -m partsel.cli` would.
+        script = (
+            "import json, runpy, sys\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    sys.argv = ['partsel', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('partsel.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        if exc.code:\n"
+            "            raise\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        src = str(Path(partsel.__file__).resolve().parents[1])
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         _write_input(data, [("u1", "a"), ("u1", "b"), ("u2", "a")])
@@ -246,3 +287,5 @@ class TestBench:
         assert result.exit_code == 0
         assert "ns/op" in result.output
         assert "scalar" in result.output
+        assert "pipeline select_partitions:" in result.output
+        assert "ns/key (20000 keys" in result.output

@@ -27,7 +27,8 @@ from partsel import (
     write_release,
     write_selection,
 )
-from partsel.truncated_geometric import delta_for_exact_threshold, tsgd_tail
+from partsel.pipeline import _uniforms
+from partsel.truncated_geometric import _INVERSION_LIMIT, delta_for_exact_threshold, tsgd_tail
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -222,6 +223,75 @@ class TestDualThresholdRelease:
         for bad in (noise.k + 1, -noise.k - 1):
             with pytest.raises(ConfigurationError):
                 dual_threshold_release(hist, ["a"], PARAMS, bad, seed=0)
+
+
+def _plain_uniform(seed: int, purpose: bytes, key: str) -> int:
+    mac = hashlib.blake2b(
+        key.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little"), person=purpose
+    )
+    return int.from_bytes(mac.digest(), "little") >> 11
+
+
+class TestPerKeyDecisions:
+    def test_uniforms_match_plain_keyed_digest(self):
+        keys = ["a", "p000017", "Zürich", "東京", "🙂 key", "x" * 300]
+        for seed, purpose in ((0, b"select"), (12345, b"release"), (2**64 - 1, b"dual")):
+            expected = [_plain_uniform(seed, purpose, key) for key in keys]
+            assert _uniforms(seed, purpose, keys).tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=st.dictionaries(st.text(min_size=1, max_size=5), st.integers(1, 12), max_size=20),
+        absent_public=st.lists(st.text(min_size=1, max_size=5), max_size=8),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        data=st.data(),
+    )
+    def test_decision_depends_only_on_key_and_count(self, counts, absent_public, seed, data):
+        params = PrivacyParams(1.0, 0.05)
+        prim = OptPrimitive.from_params(params)
+        threshold = data.draw(st.integers(-tsgd_params(params).k, tsgd_params(params).k))
+        public = data.draw(st.lists(st.sampled_from(sorted(counts)), unique=True)) if counts else []
+        public += absent_public
+        hist = PartitionHistogram.from_counts(counts)
+        kept = select_partitions(hist, prim, seed)
+        released = thresholded_release(hist, params, seed)
+        dual = dual_threshold_release(hist, public, params, threshold, seed)
+        # the same keys inserted, and the public keys listed, in another order
+        shuffled = PartitionHistogram.from_counts(
+            dict(data.draw(st.permutations(list(counts.items()))))
+        )
+        assert select_partitions(shuffled, prim, seed) == kept
+        assert thresholded_release(shuffled, params, seed) == released
+        assert dual_threshold_release(shuffled, public[::-1], params, threshold, seed) == dual
+        # every key decided on its own, outside the larger histogram and list
+        for key in set(counts) | set(public):
+            alone = PartitionHistogram.from_counts({key: counts[key]} if key in counts else {})
+            mine = [key] if key in public else []
+            assert select_partitions(alone, prim, seed) == kept & {key}
+            assert thresholded_release(alone, params, seed) == [
+                r for r in released if r.partition == key
+            ]
+            assert dual_threshold_release(alone, mine, params, threshold, seed) == [
+                r for r in dual if r.partition == key
+            ]
+
+    def test_high_k_release_falls_back_to_rejection_per_key(self):
+        params = PrivacyParams(1e-6, 1e-10)
+        noise = tsgd_params(params)
+        assert noise.k == 8_517_394 > _INVERSION_LIMIT
+        sizes = [1, noise.k, noise.k + 1, 2 * noise.k + 1]
+        counts = {f"p{i:02d}": sizes[i % 4] for i in range(40)}
+        hist = PartitionHistogram.from_counts(counts)
+        records = thresholded_release(hist, params, seed=3)
+        assert thresholded_release(hist, params, seed=3) == records
+        reversed_hist = PartitionHistogram.from_counts(dict(reversed(counts.items())))
+        assert thresholded_release(reversed_hist, params, seed=3) == records
+        released = {r.partition: r.noisy_count for r in records}
+        assert {key for key, n in counts.items() if n == 2 * noise.k + 1} <= set(released)
+        shifts = [noisy - counts[key] for key, noisy in released.items()]
+        assert all(abs(shift) <= noise.k for shift in shifts)
+        assert all(noisy > noise.k for noisy in released.values())
+        assert len(set(shifts)) == len(shifts)  # every key draws its own noise
 
 
 class TestWriters:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from partsel import (
     pi_opt_recursive_sequence,
     should_keep,
 )
+from partsel.primitive import keep_thresholds
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 # Spot values computed with the recurrence oracle at these budgets.
@@ -218,6 +220,18 @@ class TestKeepDecisions:
         a = [should_keep(prim, 3, np.random.default_rng(42)) for _ in range(10)]
         b = [should_keep(prim, 3, np.random.default_rng(42)) for _ in range(10)]
         assert a == b
+
+    def test_integer_thresholds_stay_within_budget(self, budget_grid):
+        # Exact arithmetic on the realised probabilities T(n) / 2^53: one user
+        # is kept with at most delta, and every count past n2 is always kept.
+        epsilons = sorted({p.epsilon for p in budget_grid})
+        tiny = [PrivacyParams(eps, d) for eps in epsilons for d in (1e-17, 1e-30)]
+        for params in budget_grid + tiny:
+            prim = OptPrimitive.from_params(params)
+            thresholds = keep_thresholds(prim, np.arange(prim.n2 + 6)).tolist()
+            assert thresholds[0] == 0
+            assert Fraction(thresholds[1], 2**53) <= Fraction(params.effective_delta), params
+            assert thresholds[prim.n2 + 1 :] == [2**53] * 5, params
 
 
 class TestExpectedOutputSize:
