@@ -14,20 +14,83 @@ from typing import Callable
 from .params import PrivacyParams
 
 
-# Only the Gaussian baseline needs scipy, and importing it costs most of a CLI
-# start-up, so it is imported on first use and never by the select path.
+# Only the Gaussian baseline needs scipy, and only the normal-distribution
+# ufuncs of scipy.special (the functions scipy.stats.norm delegates to).
+# Importing scipy costs most of a CLI start-up, so it is imported on first use
+# and never by the select path.
 @functools.cache
-def _norm():
-    from scipy import stats
+def _special():
+    from scipy import special
 
-    return stats.norm
+    return special
 
 
-@functools.cache
-def _brentq():
-    from scipy import optimize
+_BRENT_MAXITER = 100
 
-    return optimize.brentq
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy's ``optimize/Zeros/brentq.c``, so it returns
+    what ``scipy.optimize.brentq`` returns, bit for bit, without importing
+    ``scipy.optimize``. Like scipy it raises ``ValueError`` when ``f(xa)`` and
+    ``f(xb)`` have the same sign or ``f`` returns NaN, and ``RuntimeError``
+    after 100 iterations without convergence.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an infinity or NaN, which fails the test below
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +148,11 @@ class GaussianPrimitive:
 
 def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> float:
     """log of the privacy profile delta(sigma) of the Gaussian mechanism."""
-    norm = _norm()
+    log_ndtr = _special().log_ndtr
     a = sensitivity / (2.0 * sigma)
     b = epsilon * sigma / sensitivity
-    x = float(norm.logcdf(a - b))
-    y = epsilon + float(norm.logcdf(-a - b))
+    x = float(log_ndtr(a - b))
+    y = epsilon + float(log_ndtr(-a - b))
     if y >= x:
         return -math.inf
     return x + math.log1p(-math.exp(y - x))
@@ -134,14 +197,12 @@ def calibrate_gaussian_sigma(
         hi *= 2.0
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from above")
-    return float(
-        _brentq()(
-            lambda s: _log_delta_gaussian(s, epsilon, sensitivity) - target,
-            lo,
-            hi,
-            xtol=tol,
-            rtol=8.9e-16,
-        )
+    return _brentq(
+        lambda s: _log_delta_gaussian(s, epsilon, sensitivity) - target,
+        lo,
+        hi,
+        xtol=tol,
+        rtol=8.9e-16,
     )
 
 
@@ -170,7 +231,7 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         sigma = calibrate_gaussian_sigma(eps, delta_noise, sensitivity)
         # per-count tail bound: 1 - (1 - delta_threshold)^(1/kappa)
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
-        threshold = 1.0 + sigma * float(_norm().isf(tail))
+        threshold = 1.0 + sigma * -float(_special().ndtri(tail))
         return GaussianPrimitive(eps, delta_noise, delta_threshold, sigma, threshold, kappa)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -197,7 +258,7 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
         raise ValueError(f"count must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    return float(_norm().sf((prim.threshold - n) / prim.sigma))
+    return float(_special().ndtr(-((prim.threshold - n) / prim.sigma)))
 
 
 def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, pipeline
 from .params import Neighboring, PrivacyParams
-from .primitive import OptPrimitive, pi_opt, pi_opt_many, should_keep
+from .primitive import OptPrimitive, keep_many, pi_opt, should_keep
 
 
 def _friendly_errors(fn):
@@ -262,7 +262,7 @@ def bench(iterations, epsilon, delta, seed) -> None:
     for label, n in (("n=1", 1), (f"n=n1={prim.n1}", prim.n1), (f"n=n2+100={prim.n2 + 100}", prim.n2 + 100)):
         ns = np.full(iterations, n, dtype=np.int64)
         start = time.perf_counter()
-        kept = rng.random(iterations) < pi_opt_many(prim, ns)
+        kept = keep_many(prim, ns, rng)
         elapsed = time.perf_counter() - start
         click.echo(
             f"bulk {label}: {elapsed * 1e9 / iterations:.1f} ns/op "

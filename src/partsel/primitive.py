@@ -218,13 +218,18 @@ def pi_opt_recursive_sequence(params: PrivacyParams, n_max: int) -> list[float]:
 
 def should_keep(prim: OptPrimitive, n: int, rng: np.random.Generator) -> bool:
     """One Bernoulli keep decision; reproducible for a given generator state."""
-    return rng.random() < pi_opt(prim, n)
+    return bool(keep_many(prim, n, rng))
 
 
 def keep_many(prim: OptPrimitive, ns, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized keep decisions, one uniform draw per count."""
-    probs = pi_opt_many(prim, ns)
-    return rng.random(probs.shape) < probs
+    """Vectorized keep decisions, one uniform draw per count.
+
+    ``rng.random()`` is a multiple of 2^-53, so scaling it by 2^53 gives an
+    exact 53-bit integer, compared with :func:`keep_thresholds`: the keep
+    probability is ``pi(n)`` rounded down to the 2^-53 grid.
+    """
+    thresholds = keep_thresholds(prim, ns)
+    return rng.random(thresholds.shape) * 2.0**53 < thresholds
 
 
 def expected_output_size(hist, prim: OptPrimitive) -> float:

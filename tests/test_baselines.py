@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import optimize, stats
 
 from partsel import (
     LaplacePrimitive,
@@ -16,7 +20,8 @@ from partsel import (
     pi_laplace,
     pi_opt,
 )
-from partsel.baselines import _log_delta_gaussian
+from partsel import baselines
+from partsel.baselines import _brentq, _log_delta_gaussian
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 LAP_T_EPS1_DELTA1E5 = 11.819778284410283
@@ -125,6 +130,92 @@ class TestGaussian:
             gauss = gaussian_primitive(params, kappa)
             gauss_mid = midpoint(lambda n: pi_gaussian(gauss, n))
             assert (gauss_mid < opt_mid) == gauss_wins
+
+
+class TestScipyOracle:
+    """The Gaussian baseline calls scipy.special and an in-module Brent solver;
+    scipy.stats.norm and scipy.optimize.brentq are the reference they must
+    reproduce exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(0.01, 10.0),
+        log_delta=st.floats(-30.0, -1.0),
+        kappa=st.integers(1, 10),
+    )
+    def test_calibration_matches_scipy_brentq(self, eps, log_delta, kappa):
+        with mock.patch.object(baselines, "_brentq", wraps=baselines._brentq) as solver:
+            sigma = calibrate_gaussian_sigma(eps, 10.0**log_delta, math.sqrt(kappa))
+        (objective, lo, hi), tolerances = solver.call_args
+        assert sigma == optimize.brentq(objective, lo, hi, **tolerances)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(0.01, 10.0),
+        log_delta=st.floats(-30.0, -1.0),
+        lo=st.floats(0.01, 1.0),
+        hi=st.floats(1.0, 100.0),
+        xtol=st.sampled_from([1e-12, 1e-6, 5e-324]),
+    )
+    def test_brent_port_matches_scipy_on_any_bracket(self, eps, log_delta, lo, hi, xtol):
+        def objective(sigma):
+            return _log_delta_gaussian(sigma, eps, 1.0) - log_delta * math.log(10.0)
+
+        assume((objective(lo) < 0.0) != (objective(hi) < 0.0))
+        expected = optimize.brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16)
+        assert _brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16) == expected
+
+    @pytest.mark.parametrize(
+        ("objective", "lo", "hi"),
+        [
+            (lambda x: 1e-300 * (x**3 - 0.2), 0.0, 1.0),
+            (lambda x: 1e-200 * (math.exp(x) - 3.0), 0.0, 4.0),
+            (lambda x: 1e-170 * (x * x - 2.0), 0.0, 3.0),
+        ],
+    )
+    def test_brent_port_matches_scipy_when_a_step_divides_by_zero(self, objective, lo, hi):
+        # The extrapolation's denominator underflows to 0: scipy's C code gets
+        # an infinity or NaN there and bisects, where Python would raise.
+        expected = optimize.brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16)
+        assert _brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16) == expected
+
+    def test_brent_port_raises_where_scipy_does(self):
+        def nan_inside(x):
+            return math.nan if 0.2 < x < 0.9 else x - 0.5
+
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+
+        for solve in (_brentq, optimize.brentq):
+            with pytest.raises(ValueError, match="NaN"):
+                solve(nan_inside, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+            with pytest.raises(ValueError, match="different signs"):
+                solve(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+            # Brent bisects a step function, which needs ~1000 halvings here.
+            with pytest.raises(RuntimeError, match="converge"):
+                solve(step, -1e300, 1e300, xtol=5e-324, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("sensitivity", [1.0, math.sqrt(3.0), math.sqrt(10.0)])
+    def test_profile_matches_scipy_stats(self, sensitivity):
+        for eps in (0.01, 0.1, 1.0, 3.0, 10.0):
+            for sigma in np.geomspace(0.01, 1e4, 40) * sensitivity:
+                a = sensitivity / (2.0 * sigma)
+                b = eps * sigma / sensitivity
+                x = float(stats.norm.logcdf(a - b))
+                y = eps + float(stats.norm.logcdf(-a - b))
+                expected = -math.inf if y >= x else x + math.log1p(-math.exp(y - x))
+                assert _log_delta_gaussian(float(sigma), eps, sensitivity) == expected
+
+    @pytest.mark.parametrize(
+        ("eps", "delta", "kappa"), [(1.0, 1e-5, 3), (0.5, 1e-12, 1), (2.0, 1e-20, 5)]
+    )
+    def test_threshold_and_curve_match_scipy_stats(self, eps, delta, kappa):
+        prim = gaussian_primitive(PrivacyParams(eps, delta), kappa)
+        tail = -math.expm1(math.log1p(-prim.delta_threshold) / kappa)
+        assert prim.threshold == 1.0 + prim.sigma * float(stats.norm.isf(tail))
+        for n in range(1, math.ceil(prim.threshold + 8.0 * prim.sigma)):
+            z = (prim.threshold - n) / prim.sigma
+            assert pi_gaussian(prim, n) == float(stats.norm.sf(z))
 
 
 class TestSummaries:

@@ -31,6 +31,31 @@ def _write_input(path, rows):
             f.write(f"{user},{part}\n")
 
 
+def _scipy_modules_after(argvs: list[list[str]]) -> list[str]:
+    """The scipy modules loaded after running each argv as `python -m partsel.cli` would,
+    one after another in a fresh interpreter."""
+    script = (
+        "import json, runpy, sys\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.argv = ['partsel', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('partsel.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        if exc.code:\n"
+        "            raise\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(partsel.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestProbs:
     def test_optimal_curve(self, runner):
         result = runner.invoke(main, ["probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "25"])
@@ -121,6 +146,15 @@ class TestKappa:
         )[0]
         assert rows[0]["opt_mid"] == single["opt50"]
         assert rows[0]["lap_mid"] == single["lap50"]
+
+    def test_gaussian_baseline_loads_only_scipy_special(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        loaded = _scipy_modules_after([
+            ["kappa", "--epsilon", "1", "--delta", "1e-5", "--kappa-max", "2", *out],
+            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "gauss", *out],
+        ])
+        assert "scipy.special" in loaded
+        assert [m for m in loaded if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])] == []
 
 
 class TestSelect:
@@ -240,35 +274,19 @@ class TestSelect:
         _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
         public = tmp_path / "public.txt"
         public.write_text("p1\nabsent\n", encoding="utf-8")
-        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05",
-                  "--out", str(tmp_path / "out")]
+        out = ["--out", str(tmp_path / "out")]
+        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
         argvs = [
             ["--help"],
             common,
             [*common, "--mode", "release-counts"],
             [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+            ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["midpoints", "--sweep", "delta", "--points", "3", *out],
+            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "opt", *out],
+            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "laplace", *out],
         ]
-        # A fresh interpreter runs each command as `python -m partsel.cli` would.
-        script = (
-            "import json, runpy, sys\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    sys.argv = ['partsel', *argv]\n"
-            "    try:\n"
-            "        runpy.run_module('partsel.cli', run_name='__main__')\n"
-            "    except SystemExit as exc:\n"
-            "        if exc.code:\n"
-            "            raise\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-        )
-        src = str(Path(partsel.__file__).resolve().parents[1])
-        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
-            env=env, capture_output=True, text=True, timeout=120, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert _scipy_modules_after(argvs) == []
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"

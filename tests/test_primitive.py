@@ -221,6 +221,18 @@ class TestKeepDecisions:
         b = [should_keep(prim, 3, np.random.default_rng(42)) for _ in range(10)]
         assert a == b
 
+    def test_zero_draw_keeps_no_single_user_at_tiny_delta(self):
+        # rng.random() returns 0.0 with probability 2^-53 > 1e-17, so a float
+        # comparison with pi(1) = 1e-17 would keep n = 1 on that draw.
+        class ZeroDraws:
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        prim = _prim(1.0, 1e-17)
+        assert not should_keep(prim, 1, ZeroDraws())
+        assert not keep_many(prim, np.ones(3, dtype=np.int64), ZeroDraws()).any()
+        assert should_keep(prim, prim.n2 + 1, ZeroDraws())
+
     def test_integer_thresholds_stay_within_budget(self, budget_grid):
         # Exact arithmetic on the realised probabilities T(n) / 2^53: one user
         # is kept with at most delta, and every count past n2 is always kept.
