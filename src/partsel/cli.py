@@ -9,7 +9,6 @@ import sys
 import time
 
 import click
-import numpy as np
 
 from . import baselines, pipeline
 from .params import Neighboring, PrivacyParams
@@ -130,6 +129,8 @@ def _percentile_row(params: PrivacyParams) -> list[int]:
 @_friendly_errors
 def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, out) -> None:
     """5th/50th/95th release-percentile counts across a log-spaced budget grid."""
+    import numpy as np
+
     if points < 1:
         raise pipeline.ConfigurationError(f"--points must be >= 1, got {points}")
     if sweep == "eps":
@@ -254,6 +255,8 @@ def select(
 @_friendly_errors
 def bench(iterations, epsilon, delta, seed) -> None:
     """Time closed-form keep decisions, and the pipeline's select path per key."""
+    import numpy as np
+
     if iterations < 1:
         raise pipeline.ConfigurationError(f"--iterations must be >= 1, got {iterations}")
     params = PrivacyParams(epsilon, delta)

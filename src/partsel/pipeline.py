@@ -6,7 +6,10 @@ partition key's BLAKE2b-64 digest (the key's UTF-8 bytes, keyed by the seed
 as 8 little-endian bytes and personalised by the mode: ``select``,
 ``release`` or ``dual``). A decision therefore depends only on the seed, the
 mode, the key and its count, never on row order, shard layout or the other
-keys, and all keys of a release are decided in one vectorised pass.
+keys. Keys are decided in plain Python on exact integers: each uniform is
+compared with one integer per distinct count (the keep threshold, or in the
+count modes the least uniform whose noise clears the bound), and only the
+released keys have their noise inverted from the integer CDF bounds.
 """
 
 from __future__ import annotations
@@ -15,17 +18,17 @@ import csv
 import enum
 import hashlib
 import os
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator, Mapping, TextIO
-
-import numpy as np
+from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .params import PrivacyParams
-from .primitive import OptPrimitive, keep_thresholds
+from .primitive import OptPrimitive, keep_threshold
 from .truncated_geometric import (
     _INVERSION_LIMIT,
     TsgdParams,
+    tsgd_cutoff,
     tsgd_inverse,
     tsgd_params,
     tsgd_sample,
@@ -185,31 +188,51 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> np.ndarray:
-    """Each key's 53-bit uniform integer: the top bits of its keyed BLAKE2b-64 digest."""
+def _digests(seed: int, purpose: bytes, keys: Iterable[str]) -> array:
+    """Each key's keyed BLAKE2b-64 digest, read as a little-endian 64-bit integer.
+
+    Its top 53 bits are the key's uniform integer ``u``, so a digest compared
+    with ``t << 11`` is ``u`` compared with ``t``, without a shift per key.
+    """
     mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
     digests = []
     for key in keys:
         h = mac.copy()
         h.update(key.encode("utf-8"))
         digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype="<u8") >> 11
+    words = array("Q", b"".join(digests))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
-def _noise(noise: TsgdParams, u53: np.ndarray) -> np.ndarray:
-    """One truncated-geometric draw per key, taken from its uniform."""
+def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> list[int]:
+    """Each key's 53-bit uniform integer: the top bits of its keyed BLAKE2b-64 digest."""
+    return [word >> 11 for word in _digests(seed, purpose, keys)]
+
+
+def _noisy_above(
+    noise: TsgdParams,
+    keys: Collection[str],
+    ns: Collection[int],
+    bound: int,
+    seed: int,
+    purpose: bytes,
+) -> list[tuple[str, int]]:
+    """(key, noisy count) for each key whose count, noised from its uniform, exceeds ``bound``."""
     if noise.k > _INVERSION_LIMIT:
+        import numpy as np
+
         # Rejection may need several draws, so each key seeds a generator of its own.
-        return np.array(
-            [tsgd_sample(noise, np.random.default_rng(u)) for u in u53.tolist()], dtype=np.int64
-        )
-    return tsgd_inverse(noise, u53 * 2.0**-53)
-
-
-def _records(keys: list[str], noisy: np.ndarray, released: np.ndarray) -> list[ReleaseRecord]:
-    """The released keys with their noisy counts, sorted by key."""
-    pairs = sorted(zip(compress(keys, released.tolist()), noisy[released].tolist()))
-    return [ReleaseRecord(key, n) for key, n in pairs]
+        draws = (tsgd_sample(noise, np.random.default_rng(u)) for u in _uniforms(seed, purpose, keys))
+        return [(key, noisy) for key, n, x in zip(keys, ns, draws) if (noisy := n + x) > bound]
+    # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
+    # comparison per key, and only the released keys are inverted.
+    cutoffs = {n: tsgd_cutoff(noise, bound - n + 1) << 11 for n in set(ns)}
+    words = _digests(seed, purpose, keys)
+    hits = [(key, n, word >> 11) for key, n, word in zip(keys, ns, words) if word >= cutoffs[n]]
+    shifts = tsgd_inverse(noise, [u for _, _, u in hits])
+    return [(key, n + x) for (key, n, _), x in zip(hits, shifts)]
 
 
 def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -> set[str]:
@@ -220,10 +243,9 @@ def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -
     """
     _check_seed(seed)
     counts = hist._counts
-    keys = list(counts)
-    ns = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
-    kept = _uniforms(seed, b"select", keys) < keep_thresholds(prim, ns)
-    return set(compress(keys, kept.tolist()))
+    thresholds = {n: keep_threshold(prim, n) << 11 for n in set(counts.values())}
+    words = _digests(seed, b"select", counts)
+    return {key for (key, n), word in zip(counts.items(), words) if word < thresholds[n]}
 
 
 def thresholded_release(
@@ -233,10 +255,8 @@ def thresholded_release(
     _check_seed(seed)
     noise = tsgd_params(params)
     counts = hist._counts
-    keys = list(counts)
-    ns = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
-    noisy = ns + _noise(noise, _uniforms(seed, b"release", keys))
-    return _records(keys, noisy, noisy > noise.k)
+    pairs = _noisy_above(noise, counts, counts.values(), noise.k, seed, b"release")
+    return [ReleaseRecord(key, noisy) for key, noisy in sorted(pairs)]
 
 
 def dual_threshold_release(
@@ -265,14 +285,12 @@ def dual_threshold_release(
         if not isinstance(key, str) or not key:
             raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
     counts = hist._counts
-    keys = [key for key in counts if key not in public]
-    private = len(keys)
-    keys += public
-    bounds = np.full(len(keys), public_threshold, dtype=np.int64)
-    bounds[:private] = noise.k
-    ns = np.fromiter((counts.get(key, 0) for key in keys), dtype=np.int64, count=len(keys))
-    noisy = ns + _noise(noise, _uniforms(seed, b"dual", keys))
-    return _records(keys, noisy, noisy > bounds)
+    private = [key for key in counts if key not in public]
+    pairs = _noisy_above(noise, private, [counts[key] for key in private], noise.k, seed, b"dual")
+    public_list = list(public)
+    public_ns = [counts.get(key, 0) for key in public_list]
+    pairs += _noisy_above(noise, public_list, public_ns, public_threshold, seed, b"dual")
+    return [ReleaseRecord(key, noisy) for key, noisy in sorted(pairs)]
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:

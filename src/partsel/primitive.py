@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .params import PrivacyParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The recurrence is a test oracle, not a production path; refuse silly sizes.
 RECURSION_LIMIT = 10**7
@@ -151,6 +153,8 @@ def pi_opt(prim: OptPrimitive, n: int) -> float:
 
 def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
     """Vectorized :func:`pi_opt` over an array of counts."""
+    import numpy as np
+
     ns = np.asarray(ns)
     if ns.size and int(ns.min()) < 0:
         raise ValueError("counts must be >= 0")
@@ -178,14 +182,23 @@ def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
     return out
 
 
-def keep_thresholds(prim: OptPrimitive, ns) -> np.ndarray:
-    """Integer keep thresholds T(n) = floor(pi(n) * 2^53) over an array of counts.
+def keep_threshold(prim: OptPrimitive, n: int) -> int:
+    """Integer keep threshold T(n) = floor(pi(n) * 2^53) for a count ``n``.
 
     A partition whose 53-bit uniform integer ``u`` satisfies ``u < T(n)`` is
     kept, so the realised keep probability T(n) / 2^53 is ``pi(n)`` rounded
     down to the 2^-53 grid and never exceeds it.
     """
-    return np.floor(pi_opt_many(prim, ns) * 2.0**53).astype(np.uint64)
+    return math.floor(pi_opt(prim, n) * 2.0**53)
+
+
+def keep_thresholds(prim: OptPrimitive, ns) -> np.ndarray:
+    """:func:`keep_threshold` over an array of counts, evaluated once per distinct count."""
+    import numpy as np
+
+    distinct, index = np.unique(np.asarray(ns), return_inverse=True)
+    thresholds = np.array([keep_threshold(prim, n) for n in distinct.tolist()], dtype=np.uint64)
+    return thresholds[index]
 
 
 def pi_opt_recursive(params: PrivacyParams, n: int) -> float:
@@ -217,17 +230,17 @@ def pi_opt_recursive_sequence(params: PrivacyParams, n_max: int) -> list[float]:
 
 
 def should_keep(prim: OptPrimitive, n: int, rng: np.random.Generator) -> bool:
-    """One Bernoulli keep decision; reproducible for a given generator state."""
-    return bool(keep_many(prim, n, rng))
+    """One Bernoulli keep decision; reproducible for a given generator state.
+
+    ``rng.random()`` is a multiple of 2^-53, so scaling it by 2^53 gives an
+    exact 53-bit integer, compared with :func:`keep_threshold`: the keep
+    probability is ``pi(n)`` rounded down to the 2^-53 grid.
+    """
+    return rng.random() * 2.0**53 < keep_threshold(prim, n)
 
 
 def keep_many(prim: OptPrimitive, ns, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized keep decisions, one uniform draw per count.
-
-    ``rng.random()`` is a multiple of 2^-53, so scaling it by 2^53 gives an
-    exact 53-bit integer, compared with :func:`keep_thresholds`: the keep
-    probability is ``pi(n)`` rounded down to the 2^-53 grid.
-    """
+    """Vectorized :func:`should_keep`, one uniform draw per count."""
     thresholds = keep_thresholds(prim, ns)
     return rng.random(thresholds.shape) * 2.0**53 < thresholds
 

@@ -10,13 +10,16 @@ probability is marginally lower.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .params import PrivacyParams
 from .primitive import _snap, crossover_exponent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Above this bound the inverse-transform table is too large; fall back to
 # rejection from the untruncated two-sided geometric (acceptance ~ 1 - 2*delta).
@@ -25,10 +28,16 @@ _INVERSION_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class TsgdParams:
-    """Success probability ``p`` and truncation bound ``k``; ``c`` normalizes the pmf."""
+    """Success probability ``p`` and truncation bound ``k``; ``c`` normalizes the pmf.
+
+    ``delta`` caps the realised probability of the outcome +k, the only one a
+    count of one user can be released on: :func:`tsgd_params` sets it to the
+    budget's effective delta, and the default 1 caps nothing.
+    """
 
     p: float
     k: int
+    delta: float = 1.0
     c: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -36,6 +45,8 @@ class TsgdParams:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         q = 1.0 - self.p
         object.__setattr__(self, "c", self.p / (1.0 + q - 2.0 * q ** (self.k + 1)))
 
@@ -50,21 +61,29 @@ class TsgdParams:
         return self.c * (1.0 - self.p) ** self.k
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
+    def _bounds(self) -> list[int]:
+        # B[i] = ceil(cdf(i - k) * 2^53), so for a 53-bit integer u,
+        # cdf(i - k) <= u / 2^53 exactly when B[i] <= u: u falls on the outcome
+        # bisect_right(B, u) - k, the bucket u / 2^53 falls in on the float CDF.
         # Closed-form partial sums per outcome; every factor stays in [0, 1]
         # so no intermediate can overflow regardless of k * eps.
         if self.k > _INVERSION_LIMIT:
             raise ValueError("inverse-transform table too large; sampling falls back to rejection")
-        eps = self.eps
-        xs = np.arange(-self.k, self.k + 1, dtype=np.float64)
-        ratio = self.c / self.p
-        cdf = np.empty(xs.shape, dtype=np.float64)
-        neg = xs < 0
-        cdf[neg] = ratio * np.exp(xs[neg] * eps) * -np.expm1(-(self.k + 1.0 + xs[neg]) * eps)
-        pos = ~neg
-        cdf[pos] = 1.0 + ratio * np.exp(-(xs[pos] + 1.0) * eps) * np.expm1(-(self.k - xs[pos]) * eps)
-        cdf[-1] = 1.0
-        return cdf
+        k, eps, ratio = self.k, self.eps, self.c / self.p
+        ceil, exp, expm1 = math.ceil, math.exp, math.expm1
+        bounds = [
+            ceil(ratio * exp(x * eps) * -expm1(-(k + 1.0 + x) * eps) * 2.0**53)
+            for x in range(-k, 0)
+        ]
+        bounds += [
+            ceil((1.0 + ratio * exp(-(x + 1.0) * eps) * expm1(-(k - x) * eps)) * 2.0**53)
+            for x in range(k)
+        ]
+        # The float CDF rounds 1 - P(X = k) to the nearest multiple of 2^-53,
+        # which can realise more than delta; round that mass down instead.
+        bounds[-1] = max(bounds[-1], 2**53 - math.floor(self.delta * 2.0**53))
+        bounds.append(2**53)
+        return bounds
 
 
 def tsgd_params(params: PrivacyParams) -> TsgdParams:
@@ -73,6 +92,8 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     The truncation bound is the integer ceiling of the crossover exponent, so
     the probability mass parked at +-k never exceeds the delta budget; the
     leftover shows up as a slightly smaller :attr:`TsgdParams.delta_effective`.
+    The budget's delta also caps the realised P(X = k) of the integer noise
+    table, which float rounding could otherwise push past it.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if eps <= 0.0:
@@ -83,7 +104,7 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     if p >= 1.0:  # eps >= ~38 rounds the success probability to exactly 1
         raise ValueError(f"epsilon {eps} too large to represent the noise distribution in binary64")
     k = max(1, math.ceil(_snap(crossover_exponent(eps, delta))))
-    return TsgdParams(p=p, k=k)
+    return TsgdParams(p=p, k=k, delta=delta)
 
 
 def delta_for_exact_threshold(epsilon: float, k: int) -> float:
@@ -129,26 +150,43 @@ def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
     return max(0.0, 1.0 - _tail_from_below(t, t.k + y - mu))
 
 
-def tsgd_inverse(t: TsgdParams, u) -> np.ndarray:
-    """Inverse transform: for each uniform in [0, 1), the outcome in [-k, k] it falls on.
+def tsgd_inverse(t: TsgdParams, u53s: Iterable[int]) -> list[int]:
+    """Inverse transform: for each 53-bit uniform integer, the outcome in [-k, k] it falls on.
 
     Only for ``k <= _INVERSION_LIMIT``; above it there is no table to invert.
     """
-    return np.searchsorted(t._cdf, u, side="right").astype(np.int64) - t.k
+    bounds, k = t._bounds, t.k
+    return [bisect_right(bounds, u) - k for u in u53s]
+
+
+def tsgd_cutoff(t: TsgdParams, m: int) -> int:
+    """The least 53-bit uniform integer whose outcome is at least ``m``.
+
+    A uniform ``u`` falls on an outcome >= m exactly when ``u >= tsgd_cutoff(t, m)``,
+    so the realised P(X >= m) is (2^53 - cutoff) / 2^53: 0 is reached by every
+    uniform (m <= -k) and 2^53 by none (m > k). Only for ``k <= _INVERSION_LIMIT``.
+    """
+    i = m + t.k - 1
+    return 0 if i < 0 else t._bounds[min(i, 2 * t.k)]
 
 
 def tsgd_sample(t: TsgdParams, rng: np.random.Generator) -> int:
     """One draw, by inverse transform over the 2k+1 outcomes."""
     if t.k > _INVERSION_LIMIT:
         return _sample_rejection(t, rng)
-    return int(tsgd_inverse(t, rng.random()))
+    # rng.random() is a multiple of 2^-53, so this is an exact 53-bit integer
+    return tsgd_inverse(t, (int(rng.random() * 2.0**53),))[0]
 
 
 def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draws sharing one generator."""
+    """Vectorized draws sharing one generator, on the same bounds as :func:`tsgd_inverse`."""
+    import numpy as np
+
     if t.k > _INVERSION_LIMIT:
         return np.array([_sample_rejection(t, rng) for _ in range(size)], dtype=np.int64)
-    return tsgd_inverse(t, rng.random(size))
+    u53s = (rng.random(size) * 2.0**53).astype(np.uint64)
+    bounds = np.array(t._bounds, dtype=np.uint64)
+    return np.searchsorted(bounds, u53s, side="right").astype(np.int64) - t.k
 
 
 def _sample_rejection(t: TsgdParams, rng: np.random.Generator) -> int:

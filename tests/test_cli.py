@@ -31,11 +31,12 @@ def _write_input(path, rows):
             f.write(f"{user},{part}\n")
 
 
-def _scipy_modules_after(argvs: list[list[str]]) -> list[str]:
-    """The scipy modules loaded after running each argv as `python -m partsel.cli` would,
-    one after another in a fresh interpreter."""
+def _modules_after(package: str, argvs: list[list[str]]) -> list[str]:
+    """The modules of ``package`` loaded after running each argv as `python -m partsel.cli`
+    would, one after another in a fresh interpreter."""
     script = (
         "import json, runpy, sys\n"
+        "package = sys.argv[2]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    sys.argv = ['partsel', *argv]\n"
         "    try:\n"
@@ -43,13 +44,13 @@ def _scipy_modules_after(argvs: list[list[str]]) -> list[str]:
         "    except SystemExit as exc:\n"
         "        if exc.code:\n"
         "            raise\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == package)))\n"
     )
     src = str(Path(partsel.__file__).resolve().parents[1])
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
+        [sys.executable, "-c", script, json.dumps(argvs), package],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -149,7 +150,7 @@ class TestKappa:
 
     def test_gaussian_baseline_loads_only_scipy_special(self, tmp_path):
         out = ["--out", str(tmp_path / "out")]
-        loaded = _scipy_modules_after([
+        loaded = _modules_after("scipy", [
             ["kappa", "--epsilon", "1", "--delta", "1e-5", "--kappa-max", "2", *out],
             ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "gauss", *out],
         ])
@@ -286,7 +287,24 @@ class TestSelect:
             ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "opt", *out],
             ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "laplace", *out],
         ]
-        assert _scipy_modules_after(argvs) == []
+        assert _modules_after("scipy", argvs) == []
+
+    def test_select_and_help_never_import_numpy(self, tmp_path):
+        data = tmp_path / "rows.csv"
+        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
+        public = tmp_path / "public.txt"
+        public.write_text("p1\nabsent\n", encoding="utf-8")
+        out = ["--out", str(tmp_path / "out")]
+        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
+        argvs = [
+            ["--help"],
+            common,
+            [*common, "--mode", "release-counts"],
+            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "opt", *out],
+            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "laplace", *out],
+        ]
+        assert _modules_after("numpy", argvs) == []
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"

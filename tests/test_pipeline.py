@@ -28,7 +28,13 @@ from partsel import (
     write_selection,
 )
 from partsel.pipeline import _uniforms
-from partsel.truncated_geometric import _INVERSION_LIMIT, delta_for_exact_threshold, tsgd_tail
+from partsel.primitive import keep_threshold
+from partsel.truncated_geometric import (
+    _INVERSION_LIMIT,
+    delta_for_exact_threshold,
+    tsgd_inverse,
+    tsgd_tail,
+)
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -237,7 +243,39 @@ class TestPerKeyDecisions:
         keys = ["a", "p000017", "Zürich", "東京", "🙂 key", "x" * 300]
         for seed, purpose in ((0, b"select"), (12345, b"release"), (2**64 - 1, b"dual")):
             expected = [_plain_uniform(seed, purpose, key) for key in keys]
-            assert _uniforms(seed, purpose, keys).tolist() == expected
+            assert _uniforms(seed, purpose, keys) == expected
+
+    def test_decisions_follow_the_plain_per_key_rule(self):
+        # Each key decided on its own uniform u: kept when u < T(n); noised to
+        # n + tsgd_inverse(u) and released above its bound. The release
+        # functions compare digests with shifted thresholds and invert only the
+        # released keys; they must agree with this rule on every key.
+        params = PrivacyParams(1.0, 0.05)
+        prim = OptPrimitive.from_params(params)
+        noise = tsgd_params(params)
+        counts = {f"p{i:04d}": 1 + i % (2 * noise.k + 3) for i in range(3000)}
+        hist = PartitionHistogram.from_counts(counts)
+        public = {f"p{i:04d}" for i in range(0, 3000, 3)} | {f"ghost{i}" for i in range(600)}
+        seed = 11
+
+        def noisy(purpose: bytes, keys: list[str]) -> dict[str, int]:
+            shifts = tsgd_inverse(noise, _uniforms(seed, purpose, keys))
+            return {key: counts.get(key, 0) + x for key, x in zip(keys, shifts)}
+
+        uniforms = dict(zip(counts, _uniforms(seed, b"select", counts)))
+        kept = {key for key, n in counts.items() if uniforms[key] < keep_threshold(prim, n)}
+        assert select_partitions(hist, prim, seed) == kept
+        assert 0 < len(kept) < len(counts)
+
+        release = noisy(b"release", list(counts))
+        expected = [ReleaseRecord(key, m) for key, m in sorted(release.items()) if m > noise.k]
+        assert thresholded_release(hist, params, seed) == expected
+
+        dual = noisy(b"dual", sorted(set(counts) | public))
+        for threshold in (-noise.k, 0, noise.k):
+            bound = {key: threshold if key in public else noise.k for key in dual}
+            expected = [ReleaseRecord(key, m) for key, m in sorted(dual.items()) if m > bound[key]]
+            assert dual_threshold_release(hist, public, params, threshold, seed) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(

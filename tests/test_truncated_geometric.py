@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from partsel import (
     tsgd_sample_many,
     tsgd_tail,
 )
+from partsel.truncated_geometric import tsgd_cutoff, tsgd_inverse
 
 DP_PAIRS = [
     (eps, delta)
@@ -29,6 +31,36 @@ DP_PAIRS = [
 
 def _brute_tail(t: TsgdParams, mu: int, y: int) -> float:
     return sum(tsgd_pmf(t, x) for x in range(y - mu, t.k + 1))
+
+
+def _float_cdf(t: TsgdParams) -> np.ndarray:
+    """The float CDF table of the outcomes -k..k: the closed-form partial sums,
+    with P(X = k) rounded down to the 2^-53 grid below delta.
+
+    Evaluated with ``math`` like the integer bounds, so the two differ only in
+    how a uniform is compared with them, not by an ulp of ``exp``.
+    """
+    k, eps, ratio = t.k, t.eps, t.c / t.p
+    cdf = [ratio * math.exp(x * eps) * -math.expm1(-(k + 1.0 + x) * eps) for x in range(-k, 0)]
+    cdf += [1.0 + ratio * math.exp(-(x + 1.0) * eps) * math.expm1(-(k - x) * eps) for x in range(k)]
+    cdf[-1] = max(cdf[-1], 1.0 - math.floor(t.delta * 2.0**53) * 2.0**-53)
+    return np.array(cdf + [1.0])
+
+
+class _Replay:
+    """Stands in for a generator: ``random()`` returns the given 53-bit integers over 2^53."""
+
+    def __init__(self, u53s):
+        self._draws = np.asarray(u53s, dtype=np.float64) * 2.0**-53
+        self._next = 0
+
+    def random(self, size=None):
+        start, self._next = self._next, self._next + (1 if size is None else size)
+        return float(self._draws[start]) if size is None else self._draws[start : self._next]
+
+
+# (epsilon, k) pairs at budgets whose truncation bound is exactly k
+EXACT_BOUNDS = [(2.0, 1), (1.0, 11), (0.5, 33), (0.01, 1000)]
 
 
 class TestParams:
@@ -150,6 +182,63 @@ class TestSampling:
         draws = [tsgd_sample(t, rng) for _ in range(200)]
         assert all(abs(d) <= t.k for d in draws)
         assert len(set(draws)) > 100  # spread out, not degenerate
+
+
+class TestIntegerBounds:
+    @pytest.mark.parametrize(("eps", "k"), EXACT_BOUNDS)
+    def test_inversion_matches_float_table(self, eps, k):
+        t = tsgd_params(PrivacyParams(eps, delta_for_exact_threshold(eps, k)))
+        assert t.k == k
+        cdf = _float_cdf(t)
+
+        def reference(u53s):
+            u = np.asarray(u53s, dtype=np.uint64) * 2.0**-53
+            return (np.searchsorted(cdf, u, side="right") - k).tolist()
+
+        # both sides of every bucket edge, where an off-by-one would show
+        edges = {math.ceil(c * 2.0**53) for c in cdf.tolist()}
+        near = sorted(u for e in edges for u in (e - 1, e) if 0 <= u < 2**53)
+        expected = reference(near)
+        assert tsgd_inverse(t, near) == expected
+        assert tsgd_sample_many(t, _Replay(near), len(near)).tolist() == expected
+        replay = _Replay(near)
+        assert [tsgd_sample(t, replay) for _ in near] == expected
+        # random draws, through both samplers, which consume the generator alike
+        draws = (np.random.default_rng(k).random(5000) * 2.0**53).astype(np.uint64).tolist()
+        expected = reference(draws)
+        assert tsgd_inverse(t, draws) == expected
+        assert tsgd_sample_many(t, np.random.default_rng(k), 5000).tolist() == expected
+        rng = np.random.default_rng(k)
+        assert [tsgd_sample(t, rng) for _ in range(200)] == expected[:200]
+
+    @pytest.mark.parametrize(("eps", "k"), EXACT_BOUNDS[:3])
+    def test_cutoff_is_least_uniform_reaching_outcome(self, eps, k):
+        t = tsgd_params(PrivacyParams(eps, delta_for_exact_threshold(eps, k)))
+        for m in range(-k - 1, k + 3):
+            cut = tsgd_cutoff(t, m)
+            assert 0 <= cut <= 2**53
+            if cut < 2**53:
+                assert tsgd_inverse(t, [cut])[0] >= m
+            if cut > 0:
+                assert tsgd_inverse(t, [cut - 1])[0] < m
+
+    def test_single_user_release_within_delta(self, budget_grid):
+        # Exact arithmetic on the realised probabilities: a count of one is
+        # released when X = k, which uniforms at or above tsgd_cutoff(t, k) hit.
+        epsilons = sorted({p.epsilon for p in budget_grid})
+        exact = [
+            PrivacyParams(eps, delta_for_exact_threshold(eps, k))
+            for eps in epsilons
+            for k in range(1, 59)
+        ]
+        tiny = [PrivacyParams(eps, d) for eps in epsilons for d in (1e-17, 1e-30)]
+        for params in budget_grid + exact + tiny:
+            t = tsgd_params(params)
+            released = Fraction(2**53 - tsgd_cutoff(t, t.k), 2**53)
+            assert released <= Fraction(params.effective_delta), params
+            assert selection_prob_via_threshold(params, 1) == pytest.approx(
+                float(released), rel=1e-9, abs=2.0**-53
+            )
 
 
 class TestThresholdingView:
