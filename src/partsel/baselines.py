@@ -6,7 +6,6 @@ headline utility number used to compare strategies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -14,15 +13,47 @@ from typing import Callable
 from .params import PrivacyParams
 
 
-# Only the Gaussian baseline needs scipy, and only the normal-distribution
-# ufuncs of scipy.special (the functions scipy.stats.norm delegates to).
-# Importing scipy costs most of a CLI start-up, so it is imported on first use
-# and never by the select path.
-@functools.cache
-def _special():
-    from scipy import special
+# The Gaussian baseline needs three normal-distribution functions. They are
+# ported from scipy.special onto the math module (scipy stays the test oracle):
+# importing scipy.special costs a CLI run about 0.5 s for a few scalar calls.
+_SQRT1_2 = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-    return special
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF: a port of Cephes ``ndtr``, as in ``scipy.special.ndtr``."""
+    t = x * _SQRT1_2
+    z = abs(t)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(z)
+    return 1.0 - y if t > 0.0 else y
+
+
+def _log_ndtr(x: float) -> float:
+    """log of the standard normal CDF, after ``scipy.special.log_ndtr``.
+
+    Unlike Cephes, which returns ``-ndtr(-x)`` above x = 6, every x > 0 goes
+    through ``log1p``: the cut-over errs by 3e-8 relative near x = 6.
+    """
+    if x > 0.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    # Asymptotic series of the Mills ratio, summed until it stops changing.
+    log_lhs = -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI
+    last, rhs = 0.0, 1.0
+    numerator = denom_factor = 1.0
+    denom_cons = 1.0 / (x * x)
+    sign, i = 1, 0
+    while abs(last - rhs) > 2.0**-52:  # DBL_EPSILON
+        i += 1
+        last = rhs
+        sign = -sign
+        denom_factor *= denom_cons
+        numerator *= 2 * i - 1
+        rhs += sign * numerator * denom_factor
+    return log_lhs + math.log(rhs)
 
 
 _BRENT_MAXITER = 100
@@ -148,11 +179,14 @@ class GaussianPrimitive:
 
 def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> float:
     """log of the privacy profile delta(sigma) of the Gaussian mechanism."""
-    log_ndtr = _special().log_ndtr
     a = sensitivity / (2.0 * sigma)
     b = epsilon * sigma / sensitivity
-    x = float(log_ndtr(a - b))
-    y = epsilon + float(log_ndtr(-a - b))
+    hi, lo = a - b, -a - b
+    # _log_ndtr with its common branch inlined, as a calibration makes about a
+    # dozen calls here. For x < 0, x <= -1 holds exactly when Cephes' test
+    # |x * sqrt(1/2)| >= sqrt(1/2) does.
+    x = math.log(0.5 * math.erfc(-hi * _SQRT1_2)) if -20.0 < hi <= -1.0 else _log_ndtr(hi)
+    y = epsilon + (math.log(0.5 * math.erfc(-lo * _SQRT1_2)) if -20.0 < lo <= -1.0 else _log_ndtr(lo))
     if y >= x:
         return -math.inf
     return x + math.log1p(-math.exp(y - x))
@@ -184,17 +218,22 @@ def calibrate_gaussian_sigma(
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
     target = math.log(delta)
     # The profile is decreasing in sigma: expand until the target is bracketed.
+    # Both directions start from one evaluation at sigma = sensitivity.
     lo = hi = float(sensitivity)
+    at_start = value = _log_delta_gaussian(lo, epsilon, sensitivity)
     for _ in range(200):
-        if _log_delta_gaussian(lo, epsilon, sensitivity) > target:
+        if value > target:
             break
         lo /= 2.0
+        value = _log_delta_gaussian(lo, epsilon, sensitivity)
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from below")
+    value = at_start
     for _ in range(200):
-        if _log_delta_gaussian(hi, epsilon, sensitivity) < target:
+        if value < target:
             break
         hi *= 2.0
+        value = _log_delta_gaussian(hi, epsilon, sensitivity)
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from above")
     return _brentq(
@@ -223,6 +262,11 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
     if not isinstance(kappa, int) or isinstance(kappa, bool) or kappa < 1:
         raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
     sensitivity = math.sqrt(kappa)
+    # statistics (about 5 ms to import) is loaded here to keep it off the
+    # start-up of every other command. Its inv_cdf is Wichura's AS241.
+    from statistics import NormalDist
+
+    ndtri = NormalDist().inv_cdf
 
     def build(log_fraction: float) -> GaussianPrimitive:
         fraction = math.exp(log_fraction)
@@ -231,7 +275,7 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         sigma = calibrate_gaussian_sigma(eps, delta_noise, sensitivity)
         # per-count tail bound: 1 - (1 - delta_threshold)^(1/kappa)
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
-        threshold = 1.0 + sigma * -float(_special().ndtri(tail))
+        threshold = 1.0 + sigma * -ndtri(tail)
         return GaussianPrimitive(eps, delta_noise, delta_threshold, sigma, threshold, kappa)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -258,7 +302,7 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
         raise ValueError(f"count must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    return float(_special().ndtr(-((prim.threshold - n) / prim.sigma)))
+    return _ndtr(-((prim.threshold - n) / prim.sigma))
 
 
 def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:

@@ -117,6 +117,25 @@ def _percentile_row(params: PrivacyParams) -> list[int]:
     return row
 
 
+def _geomspace(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` log-spaced values from ``lo`` to ``hi``, both ends included.
+
+    Takes ``numpy.geomspace``'s steps: ``linspace`` over the base-10 logs of
+    the ends (``i * step + a``, the last point ``b``), ``10 ** y``, and both
+    ends pinned. numpy may run ``log10`` and ``power`` through SIMD kernels,
+    so interior points can differ from numpy's by some tens of ulps.
+    """
+    if not (lo > 0.0 and hi > 0.0):
+        raise pipeline.ConfigurationError(f"grid ends must be > 0, got {lo} and {hi}")
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (points - 1) if points > 1 else 0.0
+    grid = [10.0 ** (i * step + a) for i in range(points)]
+    grid[0] = lo
+    if points > 1:
+        grid[-1] = hi
+    return grid
+
+
 @main.command()
 @click.option("--sweep", type=click.Choice(["eps", "delta"]), required=True)
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Fixed epsilon for --sweep delta.")
@@ -129,25 +148,23 @@ def _percentile_row(params: PrivacyParams) -> list[int]:
 @_friendly_errors
 def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, out) -> None:
     """5th/50th/95th release-percentile counts across a log-spaced budget grid."""
-    import numpy as np
-
     if points < 1:
         raise pipeline.ConfigurationError(f"--points must be >= 1, got {points}")
     if sweep == "eps":
         lo = grid_min if grid_min is not None else 0.01
         hi = grid_max if grid_max is not None else 3.0
-        grid = np.geomspace(lo, hi, points)
-        budgets = [_params(float(e), delta, neighboring) for e in grid]
+        grid = _geomspace(lo, hi, points)
+        budgets = [_params(e, delta, neighboring) for e in grid]
         key = "eps"
     else:
         lo = grid_min if grid_min is not None else 1e-12
         hi = grid_max if grid_max is not None else 1e-3
-        grid = np.geomspace(lo, hi, points)
-        budgets = [_params(epsilon, float(d), neighboring) for d in grid]
+        grid = _geomspace(lo, hi, points)
+        budgets = [_params(epsilon, d, neighboring) for d in grid]
         key = "del"
     rows = [_percentile_row(b) for b in budgets]
     header = [key, "opt05", "opt50", "opt95", "lap05", "lap50", "lap95"]
-    _write_csv(out, header, ([_fmt(float(g))] + row for g, row in zip(grid, rows)))
+    _write_csv(out, header, ([_fmt(g)] + row for g, row in zip(grid, rows)))
 
 
 @main.command("kappa")

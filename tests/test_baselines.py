@@ -1,11 +1,13 @@
 import math
+import sys
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from partsel import (
     LaplacePrimitive,
@@ -21,7 +23,7 @@ from partsel import (
     pi_opt,
 )
 from partsel import baselines
-from partsel.baselines import _brentq, _log_delta_gaussian
+from partsel.baselines import _brentq, _log_delta_gaussian, _log_ndtr, _ndtr
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 LAP_T_EPS1_DELTA1E5 = 11.819778284410283
@@ -91,6 +93,22 @@ class TestGaussian:
         sigma = calibrate_gaussian_sigma(1.0, 5e-6, 1.0)
         assert _log_delta_gaussian(sigma, 1.0, 1.0) == pytest.approx(math.log(5e-6), abs=1e-9)
 
+    @pytest.mark.parametrize("kappa", [1, 3, 10])
+    def test_profile_inlines_log_ndtr_exactly(self, kappa):
+        # _log_delta_gaussian inlines a branch of _log_ndtr for speed; it must
+        # change no bit. Epsilon is chosen so that a - b runs over [-25, 3],
+        # across every branch of _log_ndtr.
+        sensitivity = math.sqrt(kappa)
+        for sigma in (0.05 * sensitivity, sensitivity, 20.0 * sensitivity):
+            a = sensitivity / (2.0 * sigma)
+            for d in np.linspace(-25.0, min(3.0, a), 2801)[:-1]:
+                eps = (a - float(d)) * sigma / sensitivity
+                b = eps * sigma / sensitivity
+                x = _log_ndtr(a - b)
+                y = eps + _log_ndtr(-a - b)
+                expected = -math.inf if y >= x else x + math.log1p(-math.exp(y - x))
+                assert _log_delta_gaussian(sigma, eps, sensitivity) == expected
+
     def test_sigma_decreases_with_looser_delta(self):
         sigmas = [calibrate_gaussian_sigma(1.0, d, 1.0) for d in (1e-8, 1e-6, 1e-4, 1e-2)]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
@@ -133,9 +151,30 @@ class TestGaussian:
 
 
 class TestScipyOracle:
-    """The Gaussian baseline calls scipy.special and an in-module Brent solver;
-    scipy.stats.norm and scipy.optimize.brentq are the reference they must
-    reproduce exactly."""
+    """The Gaussian baseline runs on ports of scipy.special's ``log_ndtr``,
+    ``ndtr`` and ``ndtri`` onto the standard library, and on an in-module
+    Brent solver; scipy is the reference. The solver must reproduce
+    scipy.optimize.brentq exactly, the normal functions within the stated,
+    measured tolerances."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-40.0, 10.0), log_q=st.floats(-300.0, math.log10(0.49)))
+    def test_normal_ports_match_scipy_special(self, x, log_q):
+        # Worst cases over 1.6M random draws: log_ndtr 4.3e-15 relative;
+        # ndtr 1.8e-15 relative above x = -5, but 5.7e-14 below it, where
+        # CPython's erfc is less accurate than Cephes'; ndtri 8 ulp.
+        assert _log_ndtr(x) == pytest.approx(float(special.log_ndtr(x)), rel=1e-14, abs=0.0)
+        expected = float(special.ndtr(x))
+        if expected >= sys.float_info.min:
+            rel = 4e-15 if x > -5.0 else 1.2e-13
+            assert _ndtr(x) == pytest.approx(expected, rel=rel, abs=0.0)
+        else:
+            # Cephes' erfc underflows to 0 below x = -37.68; math.erfc
+            # returns subnormals there. Neither is a normal float.
+            assert _ndtr(x) < sys.float_info.min
+        q = 10.0**log_q
+        expected = float(special.ndtri(q))
+        assert abs(NormalDist().inv_cdf(q) - expected) <= 16 * math.ulp(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -197,25 +236,37 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("sensitivity", [1.0, math.sqrt(3.0), math.sqrt(10.0)])
     def test_profile_matches_scipy_stats(self, sensitivity):
+        # Within 1e-11 relative wherever scipy's log delta is above log(5e-324)
+        # (5.2e-12 measured, at eps = 0.01, where the profile cancels). Below
+        # it no delta is representable, and the sides may differ (-inf
+        # against finite); both must stay there.
+        log_tiny = math.log(5e-324)
         for eps in (0.01, 0.1, 1.0, 3.0, 10.0):
             for sigma in np.geomspace(0.01, 1e4, 40) * sensitivity:
                 a = sensitivity / (2.0 * sigma)
                 b = eps * sigma / sensitivity
-                x = float(stats.norm.logcdf(a - b))
-                y = eps + float(stats.norm.logcdf(-a - b))
+                x = float(special.log_ndtr(a - b))
+                y = eps + float(special.log_ndtr(-a - b))
                 expected = -math.inf if y >= x else x + math.log1p(-math.exp(y - x))
-                assert _log_delta_gaussian(float(sigma), eps, sensitivity) == expected
+                got = _log_delta_gaussian(float(sigma), eps, sensitivity)
+                if expected > log_tiny:
+                    assert got == pytest.approx(expected, rel=1e-11, abs=0.0)
+                else:
+                    assert got < log_tiny
 
     @pytest.mark.parametrize(
         ("eps", "delta", "kappa"), [(1.0, 1e-5, 3), (0.5, 1e-12, 1), (2.0, 1e-20, 5)]
     )
     def test_threshold_and_curve_match_scipy_stats(self, eps, delta, kappa):
+        # The threshold within 2 ulp (1 ulp measured at these budgets, 2 at
+        # (0.01, 1e-8, 4)); the curve within 1e-14 relative (3.3e-15 measured).
         prim = gaussian_primitive(PrivacyParams(eps, delta), kappa)
         tail = -math.expm1(math.log1p(-prim.delta_threshold) / kappa)
-        assert prim.threshold == 1.0 + prim.sigma * float(stats.norm.isf(tail))
+        expected = 1.0 + prim.sigma * -float(special.ndtri(tail))
+        assert abs(prim.threshold - expected) <= 2 * math.ulp(expected)
         for n in range(1, math.ceil(prim.threshold + 8.0 * prim.sigma)):
             z = (prim.threshold - n) / prim.sigma
-            assert pi_gaussian(prim, n) == float(stats.norm.sf(z))
+            assert pi_gaussian(prim, n) == pytest.approx(float(special.ndtr(-z)), rel=1e-14, abs=0.0)
 
 
 class TestSummaries:

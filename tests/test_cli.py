@@ -7,12 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partsel
-from partsel import OptPrimitive, PrivacyParams, pi_opt
-from partsel.cli import main
+from partsel import (
+    LaplacePrimitive,
+    OptPrimitive,
+    PrivacyParams,
+    percentile_n,
+    pi_laplace,
+    pi_opt,
+)
+from partsel.cli import _geomspace, main
 
 
 @pytest.fixture
@@ -31,12 +41,12 @@ def _write_input(path, rows):
             f.write(f"{user},{part}\n")
 
 
-def _modules_after(package: str, argvs: list[list[str]]) -> list[str]:
-    """The modules of ``package`` loaded after running each argv as `python -m partsel.cli`
+def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
+    """The modules of ``packages`` loaded after running each argv as `python -m partsel.cli`
     would, one after another in a fresh interpreter."""
     script = (
         "import json, runpy, sys\n"
-        "package = sys.argv[2]\n"
+        "packages = json.loads(sys.argv[2])\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    sys.argv = ['partsel', *argv]\n"
         "    try:\n"
@@ -44,13 +54,13 @@ def _modules_after(package: str, argvs: list[list[str]]) -> list[str]:
         "    except SystemExit as exc:\n"
         "        if exc.code:\n"
         "            raise\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == package)))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in packages)))\n"
     )
     src = str(Path(partsel.__file__).resolve().parents[1])
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs), package],
+        [sys.executable, "-c", script, json.dumps(argvs), json.dumps(packages)],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -127,6 +137,59 @@ class TestMidpoints:
         gaps = [int(r["lap50"]) - int(r["opt50"]) for r in rows]
         assert max(gaps) - min(gaps) <= 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(1e-15, 100.0),
+        hi=st.floats(1e-15, 100.0),
+        points=st.integers(1, 300),
+        same_ends=st.booleans(),
+    )
+    def test_grid_follows_numpy_geomspace(self, lo, hi, points, same_ends):
+        # numpy runs log10 and power through SIMD kernels on some CPUs, so the
+        # match is not bit-exact: the worst case measured was 36 ulp.
+        hi = lo if same_ends else hi
+        grid = _geomspace(lo, hi, points)
+        assert len(grid) == points
+        assert grid[0] == lo and grid[-1] == (hi if points > 1 else lo)
+        for got, expected in zip(grid, np.geomspace(lo, hi, points).tolist()):
+            assert abs(got - expected) <= 64 * math.ulp(expected)
+
+    @pytest.mark.parametrize(
+        ("sweep", "lo", "hi", "budget"),
+        [
+            ("eps", 0.01, 3.0, lambda e: PrivacyParams(e, 1e-5)),
+            ("delta", 1e-12, 1e-3, lambda d: PrivacyParams(1.0, d)),
+        ],
+    )
+    def test_default_table_equals_library_rows_on_numpy_grid(self, runner, sweep, lo, hi, budget):
+        # The comparison the benchmark makes on its budget-sweep workload.
+        def row(value: float) -> list:
+            params = budget(value)
+            prim = OptPrimitive.from_params(params)
+            lap = LaplacePrimitive.from_params(params)
+            lap_upper = math.ceil(lap.threshold) + math.ceil(64.0 / lap.epsilon)
+            return [format(value, ".12g")] + [
+                percentile_n(lambda n: pi_opt(prim, n), q, upper=prim.n2 + 1)
+                for q in (0.05, 0.5, 0.95)
+            ] + [
+                percentile_n(lambda n: pi_laplace(lap, n), q, upper=lap_upper)
+                for q in (0.05, 0.5, 0.95)
+            ]
+
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["eps" if sweep == "eps" else "del", "opt05", "opt50", "opt95", "lap05", "lap50", "lap95"])
+        writer.writerows(row(float(v)) for v in np.geomspace(lo, hi, 64))
+        result = runner.invoke(main, ["midpoints", "--sweep", sweep])
+        assert result.exit_code == 0
+        assert result.output == expected.getvalue()
+
+    def test_non_positive_grid_exits_2(self, runner):
+        for bound in (["--grid-min", "0"], ["--grid-max", "-1"], ["--grid-min", "nan"]):
+            result = runner.invoke(main, ["midpoints", "--sweep", "eps", *bound])
+            assert result.exit_code == 2
+            assert "must be > 0" in result.output
+
 
 class TestKappa:
     def test_crossing_shape_and_consistency(self, runner):
@@ -148,14 +211,27 @@ class TestKappa:
         assert rows[0]["opt_mid"] == single["opt50"]
         assert rows[0]["lap_mid"] == single["lap50"]
 
-    def test_gaussian_baseline_loads_only_scipy_special(self, tmp_path):
+
+class TestImports:
+    def test_commands_load_neither_numpy_nor_scipy(self, tmp_path):
+        data = tmp_path / "rows.csv"
+        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
+        public = tmp_path / "public.txt"
+        public.write_text("p1\nabsent\n", encoding="utf-8")
         out = ["--out", str(tmp_path / "out")]
-        loaded = _modules_after("scipy", [
-            ["kappa", "--epsilon", "1", "--delta", "1e-5", "--kappa-max", "2", *out],
-            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "gauss", *out],
-        ])
-        assert "scipy.special" in loaded
-        assert [m for m in loaded if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])] == []
+        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
+        budget = ["--epsilon", "1", "--delta", "1e-5"]
+        argvs = [
+            ["--help"],
+            common,
+            [*common, "--mode", "release-counts"],
+            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+            ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["midpoints", "--sweep", "delta", "--points", "3", *out],
+            ["kappa", *budget, "--kappa-max", "2", *out],
+            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
+        ]
+        assert _modules_after(["numpy", "scipy"], argvs) == []
 
 
 class TestSelect:
@@ -269,42 +345,6 @@ class TestSelect:
                 )
                 assert result.exit_code == 2
                 assert "--mode dual" in result.output
-
-    def test_select_never_imports_scipy(self, tmp_path):
-        data = tmp_path / "rows.csv"
-        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
-        public = tmp_path / "public.txt"
-        public.write_text("p1\nabsent\n", encoding="utf-8")
-        out = ["--out", str(tmp_path / "out")]
-        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
-        argvs = [
-            ["--help"],
-            common,
-            [*common, "--mode", "release-counts"],
-            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
-            ["midpoints", "--sweep", "eps", "--points", "3", *out],
-            ["midpoints", "--sweep", "delta", "--points", "3", *out],
-            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "opt", *out],
-            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "laplace", *out],
-        ]
-        assert _modules_after("scipy", argvs) == []
-
-    def test_select_and_help_never_import_numpy(self, tmp_path):
-        data = tmp_path / "rows.csv"
-        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
-        public = tmp_path / "public.txt"
-        public.write_text("p1\nabsent\n", encoding="utf-8")
-        out = ["--out", str(tmp_path / "out")]
-        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
-        argvs = [
-            ["--help"],
-            common,
-            [*common, "--mode", "release-counts"],
-            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
-            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "opt", *out],
-            ["probs", "--epsilon", "1", "--delta", "1e-5", "--strategy", "laplace", *out],
-        ]
-        assert _modules_after("numpy", argvs) == []
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
