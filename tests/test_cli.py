@@ -67,6 +67,22 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+
+def _select_argvs(tmp_path) -> list[list[str]]:
+    """`--help` and one `select` run in each mode, on a small input under ``tmp_path``."""
+    data = tmp_path / "rows.csv"
+    _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
+    public = tmp_path / "public.txt"
+    public.write_text("p1\nabsent\n", encoding="utf-8")
+    common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05",
+              "--out", str(tmp_path / "out")]
+    return [
+        ["--help"],
+        common,
+        [*common, "--mode", "release-counts"],
+        [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+    ]
+
 class TestProbs:
     def test_optimal_curve(self, runner):
         result = runner.invoke(main, ["probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "25"])
@@ -211,25 +227,13 @@ class TestKappa:
         assert rows[0]["opt_mid"] == single["opt50"]
         assert rows[0]["lap_mid"] == single["lap50"]
 
-
-class TestImports:
-    def test_commands_load_neither_numpy_nor_scipy(self, tmp_path):
-        data = tmp_path / "rows.csv"
-        _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
-        public = tmp_path / "public.txt"
-        public.write_text("p1\nabsent\n", encoding="utf-8")
+    def test_gaussian_baseline_loads_only_scipy_special(self, tmp_path):
+        # The Gaussian baseline runs on the standard library: not even scipy.special loads.
         out = ["--out", str(tmp_path / "out")]
-        common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05", *out]
         budget = ["--epsilon", "1", "--delta", "1e-5"]
         argvs = [
-            ["--help"],
-            common,
-            [*common, "--mode", "release-counts"],
-            [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
-            ["midpoints", "--sweep", "eps", "--points", "3", *out],
-            ["midpoints", "--sweep", "delta", "--points", "3", *out],
             ["kappa", *budget, "--kappa-max", "2", *out],
-            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
+            ["probs", *budget, "--strategy", "gauss", *out],
         ]
         assert _modules_after(["numpy", "scipy"], argvs) == []
 
@@ -345,6 +349,24 @@ class TestSelect:
                 )
                 assert result.exit_code == 2
                 assert "--mode dual" in result.output
+
+    def test_select_never_imports_scipy(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        argvs = [
+            *_select_argvs(tmp_path),
+            ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["midpoints", "--sweep", "delta", "--points", "3", *out],
+        ]
+        assert _modules_after(["numpy", "scipy"], argvs) == []
+
+    def test_select_and_help_never_import_numpy(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        budget = ["--epsilon", "1", "--delta", "1e-5"]
+        argvs = [
+            *_select_argvs(tmp_path),
+            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace")),
+        ]
+        assert _modules_after(["numpy", "scipy"], argvs) == []
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
