@@ -67,7 +67,6 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-
 def _select_argvs(tmp_path) -> list[list[str]]:
     """`--help` and one `select` run in each mode, on a small input under ``tmp_path``."""
     data = tmp_path / "rows.csv"
@@ -82,6 +81,7 @@ def _select_argvs(tmp_path) -> list[list[str]]:
         [*common, "--mode", "release-counts"],
         [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
     ]
+
 
 class TestProbs:
     def test_optimal_curve(self, runner):
