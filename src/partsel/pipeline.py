@@ -25,14 +25,7 @@ from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .params import PrivacyParams
 from .primitive import OptPrimitive, keep_threshold
-from .truncated_geometric import (
-    _INVERSION_LIMIT,
-    TsgdParams,
-    tsgd_cutoff,
-    tsgd_inverse,
-    tsgd_params,
-    tsgd_sample,
-)
+from .truncated_geometric import TsgdParams, tsgd_cutoff, tsgd_inverse, tsgd_params
 
 
 class ConfigurationError(ValueError):
@@ -206,11 +199,6 @@ def _digests(seed: int, purpose: bytes, keys: Iterable[str]) -> array:
     return words
 
 
-def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> list[int]:
-    """Each key's 53-bit uniform integer: the top bits of its keyed BLAKE2b-64 digest."""
-    return [word >> 11 for word in _digests(seed, purpose, keys)]
-
-
 def _noisy_above(
     noise: TsgdParams,
     keys: Collection[str],
@@ -220,12 +208,6 @@ def _noisy_above(
     purpose: bytes,
 ) -> list[tuple[str, int]]:
     """(key, noisy count) for each key whose count, noised from its uniform, exceeds ``bound``."""
-    if noise.k > _INVERSION_LIMIT:
-        import numpy as np
-
-        # Rejection may need several draws, so each key seeds a generator of its own.
-        draws = (tsgd_sample(noise, np.random.default_rng(u)) for u in _uniforms(seed, purpose, keys))
-        return [(key, noisy) for key, n, x in zip(keys, ns, draws) if (noisy := n + x) > bound]
     # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
     # comparison per key, and only the released keys are inverted.
     cutoffs = {n: tsgd_cutoff(noise, bound - n + 1) << 11 for n in set(ns)}

@@ -21,10 +21,6 @@ from .primitive import _snap, crossover_exponent
 if TYPE_CHECKING:
     import numpy as np
 
-# Above this bound the inverse-transform table is too large; fall back to
-# rejection from the untruncated two-sided geometric (acceptance ~ 1 - 2*delta).
-_INVERSION_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class TsgdParams:
@@ -61,29 +57,41 @@ class TsgdParams:
         return self.c * (1.0 - self.p) ** self.k
 
     @cached_property
-    def _bounds(self) -> list[int]:
-        # B[i] = ceil(cdf(i - k) * 2^53), so for a 53-bit integer u,
-        # cdf(i - k) <= u / 2^53 exactly when B[i] <= u: u falls on the outcome
-        # bisect_right(B, u) - k, the bucket u / 2^53 falls in on the float CDF.
-        # Closed-form partial sums per outcome; every factor stays in [0, 1]
-        # so no intermediate can overflow regardless of k * eps.
-        if self.k > _INVERSION_LIMIT:
-            raise ValueError("inverse-transform table too large; sampling falls back to rejection")
-        k, eps, ratio = self.k, self.eps, self.c / self.p
-        ceil, exp, expm1 = math.ceil, math.exp, math.expm1
-        bounds = [
-            ceil(ratio * exp(x * eps) * -expm1(-(k + 1.0 + x) * eps) * 2.0**53)
-            for x in range(-k, 0)
-        ]
-        bounds += [
-            ceil((1.0 + ratio * exp(-(x + 1.0) * eps) * expm1(-(k - x) * eps)) * 2.0**53)
-            for x in range(k)
-        ]
+    def _bounds(self) -> _Bounds:
+        return _Bounds(self)
+
+
+class _Bounds(dict):
+    """The integer CDF bounds B[i] = ceil(cdf(i - k) * 2^53) for i in [0, 2k].
+
+    For a 53-bit integer u, cdf(i - k) <= u / 2^53 exactly when B[i] <= u: u
+    falls on the outcome i - k for the least i with B[i] > u, the bucket
+    u / 2^53 falls in on the float CDF. Each entry is computed on first use
+    and kept, so a repeated probe is a plain dict lookup and no k ever needs
+    the whole table.
+    """
+
+    def __init__(self, t: TsgdParams) -> None:
+        super().__init__({2 * t.k: 2**53})
+        self._k, self._eps, self._ratio = t.k, t.eps, t.c / t.p
         # The float CDF rounds 1 - P(X = k) to the nearest multiple of 2^-53,
         # which can realise more than delta; round that mass down instead.
-        bounds[-1] = max(bounds[-1], 2**53 - math.floor(self.delta * 2.0**53))
-        bounds.append(2**53)
-        return bounds
+        top = 2 * t.k - 1
+        self[top] = max(self[top], 2**53 - math.floor(t.delta * 2.0**53))
+
+    def __missing__(self, i: int) -> int:
+        k, eps, ratio = self._k, self._eps, self._ratio
+        if not 0 <= i < 2 * k:
+            raise KeyError(i)
+        x = i - k
+        # Closed-form partial sums per outcome; every factor stays in [0, 1]
+        # so no intermediate can overflow regardless of k * eps.
+        if x < 0:
+            cdf = ratio * math.exp(x * eps) * -math.expm1(-(k + 1.0 + x) * eps)
+        else:
+            cdf = 1.0 + ratio * math.exp(-(x + 1.0) * eps) * math.expm1(-(k - x) * eps)
+        self[i] = bound = math.ceil(cdf * 2.0**53)
+        return bound
 
 
 def tsgd_params(params: PrivacyParams) -> TsgdParams:
@@ -93,7 +101,7 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     the probability mass parked at +-k never exceeds the delta budget; the
     leftover shows up as a slightly smaller :attr:`TsgdParams.delta_effective`.
     The budget's delta also caps the realised P(X = k) of the integer noise
-    table, which float rounding could otherwise push past it.
+    bounds, which float rounding could otherwise push past it.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if eps <= 0.0:
@@ -151,12 +159,9 @@ def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
 
 
 def tsgd_inverse(t: TsgdParams, u53s: Iterable[int]) -> list[int]:
-    """Inverse transform: for each 53-bit uniform integer, the outcome in [-k, k] it falls on.
-
-    Only for ``k <= _INVERSION_LIMIT``; above it there is no table to invert.
-    """
-    bounds, k = t._bounds, t.k
-    return [bisect_right(bounds, u) - k for u in u53s]
+    """Inverse transform: for each 53-bit uniform integer, the outcome in [-k, k] it falls on."""
+    indices, probe, k = range(2 * t.k + 1), t._bounds.__getitem__, t.k
+    return [bisect_right(indices, u, key=probe) - k for u in u53s]
 
 
 def tsgd_cutoff(t: TsgdParams, m: int) -> int:
@@ -164,7 +169,7 @@ def tsgd_cutoff(t: TsgdParams, m: int) -> int:
 
     A uniform ``u`` falls on an outcome >= m exactly when ``u >= tsgd_cutoff(t, m)``,
     so the realised P(X >= m) is (2^53 - cutoff) / 2^53: 0 is reached by every
-    uniform (m <= -k) and 2^53 by none (m > k). Only for ``k <= _INVERSION_LIMIT``.
+    uniform (m <= -k) and 2^53 by none (m > k).
     """
     i = m + t.k - 1
     return 0 if i < 0 else t._bounds[min(i, 2 * t.k)]
@@ -172,30 +177,16 @@ def tsgd_cutoff(t: TsgdParams, m: int) -> int:
 
 def tsgd_sample(t: TsgdParams, rng: np.random.Generator) -> int:
     """One draw, by inverse transform over the 2k+1 outcomes."""
-    if t.k > _INVERSION_LIMIT:
-        return _sample_rejection(t, rng)
     # rng.random() is a multiple of 2^-53, so this is an exact 53-bit integer
     return tsgd_inverse(t, (int(rng.random() * 2.0**53),))[0]
 
 
 def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draws sharing one generator, on the same bounds as :func:`tsgd_inverse`."""
+    """Draws sharing one generator, inverted like :func:`tsgd_sample`, as an int64 array."""
     import numpy as np
 
-    if t.k > _INVERSION_LIMIT:
-        return np.array([_sample_rejection(t, rng) for _ in range(size)], dtype=np.int64)
-    u53s = (rng.random(size) * 2.0**53).astype(np.uint64)
-    bounds = np.array(t._bounds, dtype=np.uint64)
-    return np.searchsorted(bounds, u53s, side="right").astype(np.int64) - t.k
-
-
-def _sample_rejection(t: TsgdParams, rng: np.random.Generator) -> int:
-    # The difference of two geometrics is the untruncated two-sided
-    # distribution; the truncation discards only ~2 * delta of its mass.
-    while True:
-        d = int(rng.geometric(t.p)) - int(rng.geometric(t.p))
-        if abs(d) <= t.k:
-            return d
+    u53s = (rng.random(size) * 2.0**53).astype(np.uint64).tolist()
+    return np.array(tsgd_inverse(t, u53s), dtype=np.int64)
 
 
 def selection_prob_via_threshold(params: PrivacyParams, n: int) -> float:

@@ -68,18 +68,22 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
 
 
 def _select_argvs(tmp_path) -> list[list[str]]:
-    """`--help` and one `select` run in each mode, on a small input under ``tmp_path``."""
+    """`--help` and one `select` run in each mode, on a small input under ``tmp_path``.
+
+    The count mode also runs at a budget whose noise bound k is 8.5 million.
+    """
     data = tmp_path / "rows.csv"
     _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
     public = tmp_path / "public.txt"
     public.write_text("p1\nabsent\n", encoding="utf-8")
-    common = ["select", "--input", str(data), "--epsilon", "1", "--delta", "0.05",
-              "--out", str(tmp_path / "out")]
+    run = ["select", "--input", str(data), "--out", str(tmp_path / "out")]
+    common = [*run, "--epsilon", "1", "--delta", "0.05"]
     return [
         ["--help"],
         common,
         [*common, "--mode", "release-counts"],
         [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+        [*run, "--mode", "release-counts", "--epsilon", "1e-6", "--delta", "1e-10"],
     ]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -27,14 +28,9 @@ from partsel import (
     write_release,
     write_selection,
 )
-from partsel.pipeline import _uniforms
+from partsel.pipeline import _digests
 from partsel.primitive import keep_threshold
-from partsel.truncated_geometric import (
-    _INVERSION_LIMIT,
-    delta_for_exact_threshold,
-    tsgd_inverse,
-    tsgd_tail,
-)
+from partsel.truncated_geometric import delta_for_exact_threshold, tsgd_inverse, tsgd_tail
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -238,6 +234,11 @@ def _plain_uniform(seed: int, purpose: bytes, key: str) -> int:
     return int.from_bytes(mac.digest(), "little") >> 11
 
 
+def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> list[int]:
+    """Each key's 53-bit uniform integer: the top bits of the digest the release functions read."""
+    return [word >> 11 for word in _digests(seed, purpose, keys)]
+
+
 class TestPerKeyDecisions:
     def test_uniforms_match_plain_keyed_digest(self):
         keys = ["a", "p000017", "Zürich", "東京", "🙂 key", "x" * 300]
@@ -313,10 +314,10 @@ class TestPerKeyDecisions:
                 r for r in dual if r.partition == key
             ]
 
-    def test_high_k_release_falls_back_to_rejection_per_key(self):
+    def test_high_k_release_inverts_per_key(self):
         params = PrivacyParams(1e-6, 1e-10)
         noise = tsgd_params(params)
-        assert noise.k == 8_517_394 > _INVERSION_LIMIT
+        assert noise.k == 8_517_394 > 10**6
         sizes = [1, noise.k, noise.k + 1, 2 * noise.k + 1]
         counts = {f"p{i:02d}": sizes[i % 4] for i in range(40)}
         hist = PartitionHistogram.from_counts(counts)

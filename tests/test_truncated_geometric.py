@@ -33,18 +33,27 @@ def _brute_tail(t: TsgdParams, mu: int, y: int) -> float:
     return sum(tsgd_pmf(t, x) for x in range(y - mu, t.k + 1))
 
 
-def _float_cdf(t: TsgdParams) -> np.ndarray:
-    """The float CDF table of the outcomes -k..k: the closed-form partial sums,
+def _cdf_at(t: TsgdParams, x: int) -> float:
+    """The float CDF at outcome ``x`` in [-k, k]: the closed-form partial sum,
     with P(X = k) rounded down to the 2^-53 grid below delta.
 
     Evaluated with ``math`` like the integer bounds, so the two differ only in
     how a uniform is compared with them, not by an ulp of ``exp``.
     """
     k, eps, ratio = t.k, t.eps, t.c / t.p
-    cdf = [ratio * math.exp(x * eps) * -math.expm1(-(k + 1.0 + x) * eps) for x in range(-k, 0)]
-    cdf += [1.0 + ratio * math.exp(-(x + 1.0) * eps) * math.expm1(-(k - x) * eps) for x in range(k)]
-    cdf[-1] = max(cdf[-1], 1.0 - math.floor(t.delta * 2.0**53) * 2.0**-53)
-    return np.array(cdf + [1.0])
+    if x == k:
+        return 1.0
+    if x < 0:
+        return ratio * math.exp(x * eps) * -math.expm1(-(k + 1.0 + x) * eps)
+    cdf = 1.0 + ratio * math.exp(-(x + 1.0) * eps) * math.expm1(-(k - x) * eps)
+    if x == k - 1:
+        cdf = max(cdf, 1.0 - math.floor(t.delta * 2.0**53) * 2.0**-53)
+    return cdf
+
+
+def _float_cdf(t: TsgdParams) -> np.ndarray:
+    """The float CDF table of the outcomes -k..k."""
+    return np.array([_cdf_at(t, x) for x in range(-t.k, t.k + 1)])
 
 
 class _Replay:
@@ -176,7 +185,7 @@ class TestSampling:
         b = [tsgd_sample(t, np.random.default_rng(3)) for _ in range(20)]
         assert a == b
 
-    def test_rejection_fallback_for_huge_bounds(self):
+    def test_inversion_for_huge_bounds(self):
         t = TsgdParams(p=1e-6, k=2_000_000)
         rng = np.random.default_rng(17)
         draws = [tsgd_sample(t, rng) for _ in range(200)]
@@ -232,13 +241,34 @@ class TestIntegerBounds:
             for k in range(1, 59)
         ]
         tiny = [PrivacyParams(eps, d) for eps in epsilons for d in (1e-17, 1e-30)]
-        for params in budget_grid + exact + tiny:
+        # noise bounds k of 8.5 and 108 million
+        huge = [PrivacyParams(1e-6, 1e-10), PrivacyParams(1e-7, 1e-12)]
+        for params in budget_grid + exact + tiny + huge:
             t = tsgd_params(params)
             released = Fraction(2**53 - tsgd_cutoff(t, t.k), 2**53)
             assert released <= Fraction(params.effective_delta), params
             assert selection_prob_via_threshold(params, 1) == pytest.approx(
                 float(released), rel=1e-9, abs=2.0**-53
             )
+
+    def test_lazy_bounds_above_a_million(self):
+        t = tsgd_params(PrivacyParams(1e-6, 1e-10))
+        k = t.k
+        assert k == 8_517_394
+        bounds = t._bounds
+        rng = np.random.default_rng(23)
+        edges = [1, 2, k - 1, k, k + 1, 2 * k - 2, 2 * k - 1]
+        indices = edges + rng.integers(1, 2 * k - 1, size=200).tolist()
+        inner = 0
+        for i in indices:
+            assert bounds[i] == math.ceil(_cdf_at(t, i - k) * 2.0**53), i
+            assert bounds[i] <= bounds[i + 1], i
+            assert tsgd_cutoff(t, i - k + 1) == bounds[i]
+            if bounds[i - 1] < bounds[i] < bounds[i + 1]:
+                inner += 1
+                assert tsgd_inverse(t, [bounds[i] - 1, bounds[i]]) == [i - k, i - k + 1]
+        assert inner >= 200
+        assert len(bounds) < 100 * len(indices)  # the probed entries, not the 2k+1 of a table
 
 
 class TestThresholdingView:
