@@ -5,101 +5,83 @@ release (epsilon, delta)-differentially private. Provides the optimal
 keep-probability primitive, the equivalent truncated-geometric noisy
 thresholding with publishable counts, Laplace and Gaussian baselines, and a
 deterministic streaming pipeline over (user, partition) rows.
+
+The public names are resolved on first use (PEP 562), so ``import partsel``
+loads none of the submodules and each caller pays only for what it touches.
 """
 
-from .baselines import (
-    GaussianPrimitive,
-    LaplacePrimitive,
-    calibrate_gaussian_sigma,
-    gaussian_primitive,
-    keep_laplace,
-    midpoint,
-    percentile_n,
-    pi_gaussian,
-    pi_laplace,
-)
-from .params import Neighboring, PrivacyParams
-from .pipeline import (
-    ConfigurationError,
-    IngestMode,
-    InputFormatError,
-    PartitionHistogram,
-    ReleaseRecord,
-    StrictViolationError,
-    dual_threshold_release,
-    ingest,
-    read_rows,
-    select_partitions,
-    thresholded_release,
-    write_release,
-    write_selection,
-)
-from .primitive import (
-    OptPrimitive,
-    compute_n1,
-    compute_n2,
-    expected_output_size,
-    keep_many,
-    pi_opt,
-    pi_opt_many,
-    pi_opt_recursive,
-    pi_opt_recursive_sequence,
-    should_keep,
-)
-from .truncated_geometric import (
-    TsgdParams,
-    delta_for_exact_threshold,
-    selection_prob_via_threshold,
-    tsgd_params,
-    tsgd_pmf,
-    tsgd_sample,
-    tsgd_sample_many,
-    tsgd_tail,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "GaussianPrimitive",
-    "IngestMode",
-    "InputFormatError",
-    "LaplacePrimitive",
-    "Neighboring",
-    "OptPrimitive",
-    "PartitionHistogram",
-    "PrivacyParams",
-    "ReleaseRecord",
-    "StrictViolationError",
-    "TsgdParams",
-    "calibrate_gaussian_sigma",
-    "compute_n1",
-    "compute_n2",
-    "delta_for_exact_threshold",
-    "dual_threshold_release",
-    "expected_output_size",
-    "gaussian_primitive",
-    "ingest",
-    "keep_laplace",
-    "keep_many",
-    "midpoint",
-    "percentile_n",
-    "pi_gaussian",
-    "pi_laplace",
-    "pi_opt",
-    "pi_opt_many",
-    "pi_opt_recursive",
-    "pi_opt_recursive_sequence",
-    "read_rows",
-    "select_partitions",
-    "selection_prob_via_threshold",
-    "should_keep",
-    "thresholded_release",
-    "tsgd_params",
-    "tsgd_pmf",
-    "tsgd_sample",
-    "tsgd_sample_many",
-    "tsgd_tail",
-    "write_release",
-    "write_selection",
-]
+# Each public name, by the submodule that defines it.
+_MODULES = {
+    "baselines": (
+        "GaussianPrimitive",
+        "LaplacePrimitive",
+        "calibrate_gaussian_sigma",
+        "gaussian_primitive",
+        "keep_laplace",
+        "midpoint",
+        "percentile_n",
+        "pi_gaussian",
+        "pi_laplace",
+    ),
+    "params": (
+        "ConfigurationError",
+        "InputFormatError",
+        "Neighboring",
+        "PrivacyParams",
+        "StrictViolationError",
+    ),
+    "pipeline": (
+        "IngestMode",
+        "PartitionHistogram",
+        "ReleaseRecord",
+        "dual_threshold_release",
+        "ingest",
+        "read_rows",
+        "select_partitions",
+        "thresholded_release",
+        "write_release",
+        "write_selection",
+    ),
+    "primitive": (
+        "OptPrimitive",
+        "compute_n1",
+        "compute_n2",
+        "expected_output_size",
+        "keep_many",
+        "pi_opt",
+        "pi_opt_many",
+        "pi_opt_recursive",
+        "pi_opt_recursive_sequence",
+        "should_keep",
+    ),
+    "truncated_geometric": (
+        "TsgdParams",
+        "delta_for_exact_threshold",
+        "selection_prob_via_threshold",
+        "tsgd_params",
+        "tsgd_pmf",
+        "tsgd_sample",
+        "tsgd_sample_many",
+        "tsgd_tail",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -220,29 +220,30 @@ def calibrate_gaussian_sigma(
     # The profile is decreasing in sigma: expand until the target is bracketed.
     # Both directions start from one evaluation at sigma = sensitivity.
     lo = hi = float(sensitivity)
-    at_start = value = _log_delta_gaussian(lo, epsilon, sensitivity)
+    at_start = at_lo = _log_delta_gaussian(lo, epsilon, sensitivity)
     for _ in range(200):
-        if value > target:
+        if at_lo > target:
             break
         lo /= 2.0
-        value = _log_delta_gaussian(lo, epsilon, sensitivity)
+        at_lo = _log_delta_gaussian(lo, epsilon, sensitivity)
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from below")
-    value = at_start
+    at_hi = at_start
     for _ in range(200):
-        if value < target:
+        if at_hi < target:
             break
         hi *= 2.0
-        value = _log_delta_gaussian(hi, epsilon, sensitivity)
+        at_hi = _log_delta_gaussian(hi, epsilon, sensitivity)
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from above")
-    return _brentq(
-        lambda s: _log_delta_gaussian(s, epsilon, sensitivity) - target,
-        lo,
-        hi,
-        xtol=tol,
-        rtol=8.9e-16,
-    )
+    # The solver starts by evaluating both bracket ends: answer those from here.
+    ends = {lo: at_lo - target, hi: at_hi - target}
+
+    def objective(s: float) -> float:
+        known = ends.get(s)
+        return _log_delta_gaussian(s, epsilon, sensitivity) - target if known is None else known
+
+    return _brentq(objective, lo, hi, xtol=tol, rtol=8.9e-16)
 
 
 def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:

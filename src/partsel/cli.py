@@ -1,57 +1,59 @@
-"""Command line interface: probability curves, midpoint sweeps, and release runs."""
+"""Command line interface: probability curves, midpoint sweeps, and release runs.
+
+Start-up loads only what every command needs. Each command imports the rest
+itself: ``probs``, ``midpoints`` and ``kappa`` the baselines, ``select`` and
+``bench`` the pipeline, and only ``bench`` numpy.
+"""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
-import functools
+import io
 import math
+import os
 import sys
 import time
+from typing import Callable, Iterator, TextIO
 
-import click
-
-from . import baselines, pipeline
-from .params import Neighboring, PrivacyParams
+from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, keep_many, pi_opt, should_keep
 
-
-def _friendly_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except pipeline.StrictViolationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (pipeline.ConfigurationError, pipeline.InputFormatError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+# The values of pipeline.IngestMode, spelled out so that parsing the command
+# line does not import the pipeline (a test keeps the two equal).
+_CONFLICT_MODES = ("strict", "first-wins")
 
 
 def _params(epsilon: float, delta: float, neighboring: str) -> PrivacyParams:
     return PrivacyParams(epsilon, delta, Neighboring(neighboring))
 
 
-def _neighboring_option(fn):
-    return click.option(
-        "--neighboring",
-        type=click.Choice([m.value for m in Neighboring]),
-        default=Neighboring.ADD_REMOVE.value,
-        show_default=True,
-        help="Neighboring-database model; 'replace' halves the effective budget.",
-    )(fn)
+def _existing_file(path: str) -> str:
+    """argparse type of ``--input`` and ``--public-file``: a readable file, not a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
 
 
-def _out_option(fn):
-    return click.option(
-        "--out", default="-", show_default=True, help="Output path ('-' for stdout)."
-    )(fn)
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """The UTF-8 text output: stdout for '-', else the file at ``path``."""
+    if path != "-":
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
+    yield sys.stdout
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with click.open_file(path, "w", encoding="utf-8") as f:
+    with _output(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -61,27 +63,10 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-@click.group()
-def main() -> None:
-    """Differentially private partition selection toolkit."""
-
-
-@main.command()
-@click.option("--epsilon", type=float, required=True, help="Privacy budget epsilon.")
-@click.option("--delta", type=float, required=True, help="Privacy budget delta.")
-@click.option("--n-max", type=int, default=None, help="Largest count to tabulate (default: past saturation).")
-@click.option(
-    "--strategy",
-    type=click.Choice(["opt", "laplace", "gauss"]),
-    default="opt",
-    show_default=True,
-)
-@click.option("--kappa", type=int, default=1, show_default=True, help="Per-user partition bound; sizes the Gaussian noise.")
-@_neighboring_option
-@_out_option
-@_friendly_errors
 def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
     """Tabulate the keep probability pi(n) for one strategy."""
+    from . import baselines
+
     params = _params(epsilon, delta, neighboring)
     if strategy == "opt":
         prim = OptPrimitive.from_params(params)
@@ -97,11 +82,13 @@ def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
         default_max = math.ceil(gauss.threshold + 5.0 * gauss.sigma)
     top = n_max if n_max is not None else default_max
     if top < 0:
-        raise pipeline.ConfigurationError(f"--n-max must be >= 0, got {top}")
+        raise ConfigurationError(f"--n-max must be >= 0, got {top}")
     _write_csv(out, ["n", "prob"], ((n, _fmt(evaluate(n))) for n in range(top + 1)))
 
 
 def _percentile_row(params: PrivacyParams) -> list[int]:
+    from . import baselines
+
     prim = OptPrimitive.from_params(params)
     lap = baselines.LaplacePrimitive.from_params(params)
     opt_upper = prim.n2 + 1
@@ -126,7 +113,7 @@ def _geomspace(lo: float, hi: float, points: int) -> list[float]:
     so interior points can differ from numpy's by some tens of ulps.
     """
     if not (lo > 0.0 and hi > 0.0):
-        raise pipeline.ConfigurationError(f"grid ends must be > 0, got {lo} and {hi}")
+        raise ConfigurationError(f"grid ends must be > 0, got {lo} and {hi}")
     a, b = math.log10(lo), math.log10(hi)
     step = (b - a) / (points - 1) if points > 1 else 0.0
     grid = [10.0 ** (i * step + a) for i in range(points)]
@@ -136,20 +123,10 @@ def _geomspace(lo: float, hi: float, points: int) -> list[float]:
     return grid
 
 
-@main.command()
-@click.option("--sweep", type=click.Choice(["eps", "delta"]), required=True)
-@click.option("--epsilon", type=float, default=1.0, show_default=True, help="Fixed epsilon for --sweep delta.")
-@click.option("--delta", type=float, default=1e-5, show_default=True, help="Fixed delta for --sweep eps.")
-@click.option("--grid-min", type=float, default=None, help="Smallest swept value (default 0.01 eps / 1e-12 delta).")
-@click.option("--grid-max", type=float, default=None, help="Largest swept value (default 3 eps / 1e-3 delta).")
-@click.option("--points", type=int, default=64, show_default=True)
-@_neighboring_option
-@_out_option
-@_friendly_errors
 def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, out) -> None:
     """5th/50th/95th release-percentile counts across a log-spaced budget grid."""
     if points < 1:
-        raise pipeline.ConfigurationError(f"--points must be >= 1, got {points}")
+        raise ConfigurationError(f"--points must be >= 1, got {points}")
     if sweep == "eps":
         lo = grid_min if grid_min is not None else 0.01
         hi = grid_max if grid_max is not None else 3.0
@@ -167,13 +144,6 @@ def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, ou
     _write_csv(out, header, ([_fmt(g)] + row for g, row in zip(grid, rows)))
 
 
-@main.command("kappa")
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--kappa-max", type=int, default=7, show_default=True)
-@_neighboring_option
-@_out_option
-@_friendly_errors
 def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
     """Midpoint comparison as the per-user partition bound grows.
 
@@ -181,8 +151,10 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
     strategy keeps the whole budget and scales its noise to sensitivity
     sqrt(kappa).
     """
+    from . import baselines
+
     if kappa_max < 1:
-        raise pipeline.ConfigurationError(f"--kappa-max must be >= 1, got {kappa_max}")
+        raise ConfigurationError(f"--kappa-max must be >= 1, got {kappa_max}")
     params = _params(epsilon, delta, neighboring)
 
     def row(kap: int) -> list[int]:
@@ -205,37 +177,15 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
     _write_csv(out, ["kappa", "opt_mid", "lap_mid", "gauss_mid"], rows)
 
 
-@main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--mode",
-    type=click.Choice(["select", "release-counts", "dual"]),
-    default="select",
-    show_default=True,
-)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--kappa", type=int, default=1, show_default=True, help="Divide the budget for users touching up to kappa partitions.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--conflict",
-    type=click.Choice([m.value for m in pipeline.IngestMode]),
-    default=pipeline.IngestMode.STRICT.value,
-    show_default=True,
-    help="What to do when a user exceeds the partition bound.",
-)
-@click.option("--public-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Known partition keys, one per line (dual mode).")
-@click.option("--public-threshold", type=int, default=None, help="Release bound for public keys, in [-k, k] (dual mode).")
-@_neighboring_option
-@_out_option
-@_friendly_errors
 def select(
     input_path, mode, epsilon, delta, kappa, seed, conflict,
     public_file, public_threshold, neighboring, out,
 ) -> None:
     """Run the private release pipeline over a user_id,partition CSV."""
+    from . import pipeline
+
     if mode != "dual" and (public_file is not None or public_threshold is not None):
-        raise pipeline.ConfigurationError(
+        raise ConfigurationError(
             "--public-file and --public-threshold apply only to --mode dual"
         )
     params = _params(epsilon, delta, neighboring).split(kappa)
@@ -247,35 +197,31 @@ def select(
     if mode == "select":
         prim = OptPrimitive.from_params(params)
         kept = pipeline.select_partitions(hist, prim, seed)
-        with click.open_file(out, "w", encoding="utf-8") as f:
+        with _output(out) as f:
             pipeline.write_selection(kept, f)
         return
     if mode == "release-counts":
         records = pipeline.thresholded_release(hist, params, seed)
     else:
         if public_file is None or public_threshold is None:
-            raise pipeline.ConfigurationError(
+            raise ConfigurationError(
                 "dual mode requires --public-file and --public-threshold"
             )
         with open(public_file, encoding="utf-8") as f:
             public = [line.rstrip("\n") for line in f if line.strip()]
         records = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
-    with click.open_file(out, "w", encoding="utf-8") as f:
+    with _output(out) as f:
         pipeline.write_release(records, f)
 
 
-@main.command()
-@click.option("--iterations", type=int, default=1_000_000, show_default=True)
-@click.option("--epsilon", type=float, default=1.0, show_default=True)
-@click.option("--delta", type=float, default=1e-5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_friendly_errors
 def bench(iterations, epsilon, delta, seed) -> None:
     """Time closed-form keep decisions, and the pipeline's select path per key."""
     import numpy as np
 
+    from . import pipeline
+
     if iterations < 1:
-        raise pipeline.ConfigurationError(f"--iterations must be >= 1, got {iterations}")
+        raise ConfigurationError(f"--iterations must be >= 1, got {iterations}")
     params = PrivacyParams(epsilon, delta)
     prim = OptPrimitive.from_params(params)
     rng = np.random.default_rng(seed)
@@ -284,7 +230,7 @@ def bench(iterations, epsilon, delta, seed) -> None:
         start = time.perf_counter()
         kept = keep_many(prim, ns, rng)
         elapsed = time.perf_counter() - start
-        click.echo(
+        print(
             f"bulk {label}: {elapsed * 1e9 / iterations:.1f} ns/op "
             f"({iterations} decisions in {elapsed:.4f} s, kept {int(kept.sum())})"
         )
@@ -293,17 +239,116 @@ def bench(iterations, epsilon, delta, seed) -> None:
     for _ in range(scalar_iters):
         should_keep(prim, prim.n1, rng)
     elapsed = time.perf_counter() - start
-    click.echo(f"scalar n=n1: {elapsed * 1e9 / scalar_iters:.0f} ns/op ({scalar_iters} calls)")
+    print(f"scalar n=n1: {elapsed * 1e9 / scalar_iters:.0f} ns/op ({scalar_iters} calls)")
     counts = rng.integers(1, prim.n2 + 50, size=scalar_iters).tolist()
     hist = pipeline.PartitionHistogram.from_counts({f"p{i}": n for i, n in enumerate(counts)})
     start = time.perf_counter()
     kept = pipeline.select_partitions(hist, prim, seed)
     elapsed = time.perf_counter() - start
-    click.echo(
+    print(
         f"pipeline select_partitions: {elapsed * 1e9 / scalar_iters:.0f} ns/key "
         f"({scalar_iters} keys, kept {len(kept)})"
     )
 
 
+def _command(commands, name: str, run: Callable[..., None]) -> argparse.ArgumentParser:
+    doc = run.__doc__ or ""
+    parser = commands.add_parser(
+        name, help=doc.partition("\n")[0], description=doc, add_help=False, allow_abbrev=False
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _neighboring_and_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--neighboring",
+        choices=[m.value for m in Neighboring],
+        default=Neighboring.ADD_REMOVE.value,
+        help="Neighboring-database model; 'replace' halves the effective budget. "
+        "Default: %(default)s.",
+    )
+    parser.add_argument("--out", default="-", help="Output path ('-' for stdout). Default: %(default)s.")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="partsel",
+        description="Differentially private partition selection toolkit.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    p = _command(commands, "probs", probs)
+    p.add_argument("--epsilon", type=float, required=True, help="Privacy budget epsilon.")
+    p.add_argument("--delta", type=float, required=True, help="Privacy budget delta.")
+    p.add_argument("--n-max", type=int, help="Largest count to tabulate (default: past saturation).")
+    p.add_argument("--strategy", choices=["opt", "laplace", "gauss"], default="opt", help="Default: %(default)s.")
+    p.add_argument("--kappa", type=int, default=1, help="Per-user partition bound; sizes the Gaussian noise. Default: %(default)s.")
+    _neighboring_and_out(p)
+
+    p = _command(commands, "midpoints", midpoints)
+    p.add_argument("--sweep", choices=["eps", "delta"], required=True)
+    p.add_argument("--epsilon", type=float, default=1.0, help="Fixed epsilon for --sweep delta. Default: %(default)s.")
+    p.add_argument("--delta", type=float, default=1e-5, help="Fixed delta for --sweep eps. Default: %(default)s.")
+    p.add_argument("--grid-min", type=float, help="Smallest swept value (default 0.01 eps / 1e-12 delta).")
+    p.add_argument("--grid-max", type=float, help="Largest swept value (default 3 eps / 1e-3 delta).")
+    p.add_argument("--points", type=int, default=64, help="Default: %(default)s.")
+    _neighboring_and_out(p)
+
+    p = _command(commands, "kappa", kappa_cmd)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--kappa-max", type=int, default=7, help="Default: %(default)s.")
+    _neighboring_and_out(p)
+
+    p = _command(commands, "select", select)
+    p.add_argument("--input", dest="input_path", metavar="FILE", type=_existing_file, required=True)
+    p.add_argument("--mode", choices=["select", "release-counts", "dual"], default="select", help="Default: %(default)s.")
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--kappa", type=int, default=1, help="Divide the budget for users touching up to kappa partitions. Default: %(default)s.")
+    p.add_argument("--seed", type=int, default=0, help="Default: %(default)s.")
+    p.add_argument(
+        "--conflict",
+        choices=_CONFLICT_MODES,
+        default="strict",
+        help="What to do when a user exceeds the partition bound. Default: %(default)s.",
+    )
+    p.add_argument("--public-file", metavar="FILE", type=_existing_file, help="Known partition keys, one per line (dual mode).")
+    p.add_argument("--public-threshold", type=int, help="Release bound for public keys, in [-k, k] (dual mode).")
+    _neighboring_and_out(p)
+
+    p = _command(commands, "bench", bench)
+    p.add_argument("--iterations", type=int, default=1_000_000, help="Default: %(default)s.")
+    p.add_argument("--epsilon", type=float, default=1.0, help="Default: %(default)s.")
+    p.add_argument("--delta", type=float, default=1e-5, help="Default: %(default)s.")
+    p.add_argument("--seed", type=int, default=0, help="Default: %(default)s.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    Usage errors exit 2 through argparse. A configuration, input-format or
+    budget error returns 2 and a strict-mode violation 3, each after an
+    ``error: ...`` line on stderr.
+    """
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except StrictViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # ConfigurationError and InputFormatError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

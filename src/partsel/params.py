@@ -1,10 +1,22 @@
-"""Privacy budget handling shared by all selection strategies."""
+"""Privacy budget handling, and the errors, shared by all selection strategies."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+
+
+class ConfigurationError(ValueError):
+    """Invalid combination of pipeline options. CLI exit code 2."""
+
+
+class StrictViolationError(ValueError):
+    """A user contributed more distinct partitions than allowed. CLI exit code 3."""
+
+
+class InputFormatError(ValueError):
+    """Malformed input row; the message carries the offending line number."""
 
 
 class Neighboring(enum.Enum):

@@ -23,21 +23,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
-from .params import PrivacyParams
+from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, keep_threshold
 from .truncated_geometric import TsgdParams, tsgd_cutoff, tsgd_inverse, tsgd_params
-
-
-class ConfigurationError(ValueError):
-    """Invalid combination of pipeline options. CLI exit code 2."""
-
-
-class StrictViolationError(ValueError):
-    """A user contributed more distinct partitions than allowed. CLI exit code 3."""
-
-
-class InputFormatError(ValueError):
-    """Malformed input row; the message carries the offending line number."""
 
 
 class IngestMode(enum.Enum):

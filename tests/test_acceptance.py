@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy import stats
 
 from partsel import (
@@ -235,7 +234,7 @@ def test_c11_performance_and_memory():
     assert kept.size == ns.size
 
 
-def test_c12_determinism(tmp_path):
+def test_c12_determinism(tmp_path, runner):
     """Identical seeds and inputs give byte-identical outputs across repeated
     runs."""
     data = tmp_path / "rows.csv"
@@ -243,7 +242,6 @@ def test_c12_determinism(tmp_path):
         f.write("user_id,partition\n")
         for i in range(1200):
             f.write(f"u{i},p{i % 37}\n")
-    runner = CliRunner()
     for mode, extra in (("select", ["--delta", "0.03"]), ("release-counts", ["--delta", "0.01"])):
         blobs = []
         for run in (1, 2, 3):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +21,8 @@ from partsel import (
     pi_laplace,
     pi_opt,
 )
-from partsel.cli import _geomspace, main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from partsel.cli import _CONFLICT_MODES, _geomspace, main
+from partsel.pipeline import IngestMode
 
 
 def _rows(output: str) -> list[dict]:
@@ -46,6 +41,7 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
     would, one after another in a fresh interpreter."""
     script = (
         "import json, runpy, sys\n"
+        "import partsel\n"
         "packages = json.loads(sys.argv[2])\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    sys.argv = ['partsel', *argv]\n"
@@ -381,6 +377,70 @@ class TestSelect:
              "--kappa", "2", "--seed", "1"],
         )
         assert result.exit_code == 0
+
+
+class TestUsageErrors:
+    """Malformed command lines exit 2 and name the offending option."""
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["--input", "{tmp}/missing.csv", "--epsilon", "1", "--delta", "1e-5"], "--input"),
+            (["--input", "{tmp}", "--epsilon", "1", "--delta", "1e-5"], "--input"),
+            (["--input", "{data}", "--mode", "dual", "--public-file", "{tmp}/missing.txt",
+              "--public-threshold", "0", "--epsilon", "1", "--delta", "1e-5"], "--public-file"),
+            (["--input", "{data}", "--mode", "counts", "--epsilon", "1", "--delta", "1e-5"], "--mode"),
+            (["--input", "{data}", "--delta", "1e-5"], "--epsilon"),
+            (["--input", "{data}", "--epsilon", "1", "--delta", "tiny"], "--delta"),
+        ],
+        ids=["missing-input", "directory-input", "missing-public-file", "unknown-mode",
+             "missing-epsilon", "non-numeric-delta"],
+    )
+    def test_select_usage_error_exits_2(self, runner, tmp_path, argv, named):
+        data = tmp_path / "rows.csv"
+        _write_input(data, [("u1", "a")])
+        argv = [arg.format(tmp=tmp_path, data=data) for arg in argv]
+        result = runner.invoke(main, ["select", *argv])
+        assert result.exit_code == 2
+        assert named in result.output
+
+    def test_conflict_choices_are_the_ingest_modes(self):
+        assert _CONFLICT_MODES == tuple(m.value for m in IngestMode)
+
+
+class TestImports:
+    """Each command loads only the modules it needs."""
+
+    def test_no_command_loads_click(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        budget = ["--epsilon", "1", "--delta", "1e-5"]
+        argvs = [
+            *_select_argvs(tmp_path),
+            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
+            ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["kappa", *budget, "--kappa-max", "2", *out],
+            ["bench", "--iterations", "10"],
+        ]
+        assert _modules_after(["click"], argvs) == []
+
+    def test_help_and_select_load_no_baselines(self, tmp_path):
+        assert "partsel.baselines" not in _modules_after(["partsel"], _select_argvs(tmp_path))
+
+    def test_baseline_commands_load_no_pipeline(self, tmp_path):
+        out = ["--out", str(tmp_path / "out")]
+        budget = ["--epsilon", "1", "--delta", "1e-5"]
+        argvs = [
+            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
+            ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["midpoints", "--sweep", "delta", "--points", "3", *out],
+            ["kappa", *budget, "--kappa-max", "2", *out],
+        ]
+        loaded = _modules_after(["partsel"], argvs)
+        assert "partsel.baselines" in loaded
+        assert "partsel.pipeline" not in loaded
+
+    def test_import_partsel_loads_no_submodule(self):
+        assert _modules_after(["partsel"], []) == ["partsel"]
 
 
 class TestBench:
