@@ -21,7 +21,6 @@ _MODULES = {
         "LaplacePrimitive",
         "calibrate_gaussian_sigma",
         "gaussian_primitive",
-        "keep_laplace",
         "midpoint",
         "percentile_n",
         "pi_gaussian",
@@ -51,12 +50,10 @@ _MODULES = {
         "compute_n1",
         "compute_n2",
         "expected_output_size",
-        "keep_many",
         "pi_opt",
         "pi_opt_many",
         "pi_opt_recursive",
         "pi_opt_recursive_sequence",
-        "should_keep",
     ),
     "truncated_geometric": (
         "TsgdParams",

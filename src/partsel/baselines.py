@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .params import PrivacyParams
+from .params import PrivacyParams, is_int
 
 
 # The Gaussian baseline needs three normal-distribution functions. They are
@@ -156,15 +156,6 @@ def pi_laplace(prim: LaplacePrimitive, n: float) -> float:
     return 1.0 - 0.5 * math.exp(prim.epsilon * gap)
 
 
-def keep_laplace(prim: LaplacePrimitive, n: float, rng) -> bool:
-    """Sampled form of :func:`pi_laplace`: keep iff n + Lap(1/eps) reaches the threshold."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    if n == 0:
-        return False
-    return n + rng.laplace(0.0, 1.0 / prim.epsilon) >= prim.threshold
-
-
 @dataclass(frozen=True)
 class GaussianPrimitive:
     """Gaussian-noise thresholding sized for a user touching ``kappa`` partitions."""
@@ -260,7 +251,7 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         raise ValueError("effective epsilon must be > 0")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"effective delta must be in (0, 1), got {delta}")
-    if not isinstance(kappa, int) or isinstance(kappa, bool) or kappa < 1:
+    if not is_int(kappa) or kappa < 1:
         raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
     sensitivity = math.sqrt(kappa)
     # statistics (about 5 ms to import) is loaded here to keep it off the

@@ -1,8 +1,8 @@
 """Command line interface: probability curves, midpoint sweeps, and release runs.
 
 Start-up loads only what every command needs. Each command imports the rest
-itself: ``probs``, ``midpoints`` and ``kappa`` the baselines, ``select`` and
-``bench`` the pipeline, and only ``bench`` numpy.
+itself: ``probs``, ``midpoints`` and ``kappa`` the baselines, ``select`` the
+pipeline. No command loads numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import io
 import math
 import os
 import sys
-import time
 from typing import Callable, Iterator, TextIO
 
 from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
-from .primitive import OptPrimitive, keep_many, pi_opt, should_keep
+from .primitive import OptPrimitive, pi_opt
 
 # The values of pipeline.IngestMode, spelled out so that parsing the command
 # line does not import the pipeline (a test keeps the two equal).
@@ -214,43 +213,6 @@ def select(
         pipeline.write_release(records, f)
 
 
-def bench(iterations, epsilon, delta, seed) -> None:
-    """Time closed-form keep decisions, and the pipeline's select path per key."""
-    import numpy as np
-
-    from . import pipeline
-
-    if iterations < 1:
-        raise ConfigurationError(f"--iterations must be >= 1, got {iterations}")
-    params = PrivacyParams(epsilon, delta)
-    prim = OptPrimitive.from_params(params)
-    rng = np.random.default_rng(seed)
-    for label, n in (("n=1", 1), (f"n=n1={prim.n1}", prim.n1), (f"n=n2+100={prim.n2 + 100}", prim.n2 + 100)):
-        ns = np.full(iterations, n, dtype=np.int64)
-        start = time.perf_counter()
-        kept = keep_many(prim, ns, rng)
-        elapsed = time.perf_counter() - start
-        print(
-            f"bulk {label}: {elapsed * 1e9 / iterations:.1f} ns/op "
-            f"({iterations} decisions in {elapsed:.4f} s, kept {int(kept.sum())})"
-        )
-    scalar_iters = min(iterations, 100_000)
-    start = time.perf_counter()
-    for _ in range(scalar_iters):
-        should_keep(prim, prim.n1, rng)
-    elapsed = time.perf_counter() - start
-    print(f"scalar n=n1: {elapsed * 1e9 / scalar_iters:.0f} ns/op ({scalar_iters} calls)")
-    counts = rng.integers(1, prim.n2 + 50, size=scalar_iters).tolist()
-    hist = pipeline.PartitionHistogram.from_counts({f"p{i}": n for i, n in enumerate(counts)})
-    start = time.perf_counter()
-    kept = pipeline.select_partitions(hist, prim, seed)
-    elapsed = time.perf_counter() - start
-    print(
-        f"pipeline select_partitions: {elapsed * 1e9 / scalar_iters:.0f} ns/key "
-        f"({scalar_iters} keys, kept {len(kept)})"
-    )
-
-
 def _command(commands, name: str, run: Callable[..., None]) -> argparse.ArgumentParser:
     doc = run.__doc__ or ""
     parser = commands.add_parser(
@@ -322,11 +284,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--public-threshold", type=int, help="Release bound for public keys, in [-k, k] (dual mode).")
     _neighboring_and_out(p)
 
-    p = _command(commands, "bench", bench)
-    p.add_argument("--iterations", type=int, default=1_000_000, help="Default: %(default)s.")
-    p.add_argument("--epsilon", type=float, default=1.0, help="Default: %(default)s.")
-    p.add_argument("--delta", type=float, default=1e-5, help="Default: %(default)s.")
-    p.add_argument("--seed", type=int, default=0, help="Default: %(default)s.")
     return parser
 
 

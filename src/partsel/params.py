@@ -19,6 +19,11 @@ class InputFormatError(ValueError):
     """Malformed input row; the message carries the offending line number."""
 
 
+def is_int(x: object) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``, which Python counts as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Neighboring(enum.Enum):
     """How two neighboring databases differ: one user added/removed, or replaced."""
 
@@ -61,6 +66,6 @@ class PrivacyParams:
 
     def split(self, kappa: int) -> PrivacyParams:
         """Budget left per partition when one user may touch ``kappa`` of them."""
-        if not isinstance(kappa, int) or isinstance(kappa, bool) or kappa < 1:
+        if not is_int(kappa) or kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
         return PrivacyParams(self.epsilon / kappa, self.delta / kappa, self.neighboring)

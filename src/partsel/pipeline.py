@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
-from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError
+from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
 from .primitive import OptPrimitive, keep_threshold
 from .truncated_geometric import TsgdParams, tsgd_cutoff, tsgd_inverse, tsgd_params
 
@@ -52,7 +52,7 @@ class PartitionHistogram:
         for key, n in counts.items():
             if not isinstance(key, str) or not key:
                 raise ConfigurationError(f"partition keys must be nonempty strings, got {key!r}")
-            if not isinstance(n, int) or n < 1:
+            if not is_int(n) or n < 1:
                 raise ConfigurationError(f"count for {key!r} must be an integer >= 1, got {n!r}")
             hist._counts[key] = n
         return hist
@@ -106,7 +106,7 @@ def ingest(
     earliest distinct partitions in input order (a non-private preprocessing
     convention). Each (user, partition) pair is counted at most once.
     """
-    if not isinstance(max_partitions_per_user, int) or max_partitions_per_user < 1:
+    if not is_int(max_partitions_per_user) or max_partitions_per_user < 1:
         raise ConfigurationError(
             f"max_partitions_per_user must be >= 1, got {max_partitions_per_user!r}"
         )
@@ -165,7 +165,7 @@ def _read_csv(f: TextIO) -> Iterator[tuple[str, str]]:
 
 
 def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
@@ -245,7 +245,7 @@ def dual_threshold_release(
     """
     _check_seed(seed)
     noise = tsgd_params(params)
-    if not isinstance(public_threshold, int) or not -noise.k <= public_threshold <= noise.k:
+    if not is_int(public_threshold) or not -noise.k <= public_threshold <= noise.k:
         raise ConfigurationError(
             f"public threshold must be an integer in [-k, k] = "
             f"[{-noise.k}, {noise.k}], got {public_threshold!r}"

@@ -152,34 +152,13 @@ def pi_opt(prim: OptPrimitive, n: int) -> float:
 
 
 def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
-    """Vectorized :func:`pi_opt` over an array of counts."""
+    """:func:`pi_opt` over an array of counts, evaluated once per distinct count."""
     import numpy as np
 
     ns = np.asarray(ns)
-    if ns.size and int(ns.min()) < 0:
-        raise ValueError("counts must be >= 0")
-    eps = prim.params.effective_epsilon
-    delta = prim.params.effective_delta
-    out = np.zeros(ns.shape, dtype=np.float64)
-    if delta == 0.0 or ns.size == 0:
-        return out
-    nf = ns.astype(np.float64)
-    if eps == 0.0:
-        return np.minimum(1.0, nf * delta)
-    em1 = _expm1(eps)
-    first = ns <= prim.n1  # includes n = 0, where expm1(0) = 0
-    with np.errstate(over="ignore"):
-        if math.isinf(em1):
-            out[first] = np.exp(math.log(delta) + (nf[first] - 1.0) * eps)
-            out[ns == 0] = 0.0
-        else:
-            out[first] = delta * np.expm1(nf[first] * eps) / em1
-    mid = (ns > prim.n1) & (ns <= prim.n2)
-    m = nf[mid] - prim.n1
-    out[mid] = -np.expm1(-m * eps) * (1.0 + delta / em1) + np.exp(-m * eps) * prim.pi_n1
-    out[ns > prim.n2] = 1.0
-    np.minimum(out, 1.0, out=out)
-    return out
+    distinct, index = np.unique(ns, return_inverse=True)
+    probs = np.array([pi_opt(prim, n) for n in distinct.tolist()], dtype=np.float64)
+    return probs[index].reshape(ns.shape)
 
 
 def keep_threshold(prim: OptPrimitive, n: int) -> int:
@@ -190,15 +169,6 @@ def keep_threshold(prim: OptPrimitive, n: int) -> int:
     down to the 2^-53 grid and never exceeds it.
     """
     return math.floor(pi_opt(prim, n) * 2.0**53)
-
-
-def keep_thresholds(prim: OptPrimitive, ns) -> np.ndarray:
-    """:func:`keep_threshold` over an array of counts, evaluated once per distinct count."""
-    import numpy as np
-
-    distinct, index = np.unique(np.asarray(ns), return_inverse=True)
-    thresholds = np.array([keep_threshold(prim, n) for n in distinct.tolist()], dtype=np.uint64)
-    return thresholds[index]
 
 
 def pi_opt_recursive(params: PrivacyParams, n: int) -> float:
@@ -227,22 +197,6 @@ def pi_opt_recursive_sequence(params: PrivacyParams, n_max: int) -> list[float]:
         pi = min(e_pos * pi + delta, 1.0 - e_neg * (1.0 - pi - delta), 1.0)
         out.append(pi)
     return out
-
-
-def should_keep(prim: OptPrimitive, n: int, rng: np.random.Generator) -> bool:
-    """One Bernoulli keep decision; reproducible for a given generator state.
-
-    ``rng.random()`` is a multiple of 2^-53, so scaling it by 2^53 gives an
-    exact 53-bit integer, compared with :func:`keep_threshold`: the keep
-    probability is ``pi(n)`` rounded down to the 2^-53 grid.
-    """
-    return rng.random() * 2.0**53 < keep_threshold(prim, n)
-
-
-def keep_many(prim: OptPrimitive, ns, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized :func:`should_keep`, one uniform draw per count."""
-    thresholds = keep_thresholds(prim, ns)
-    return rng.random(thresholds.shape) * 2.0**53 < thresholds
 
 
 def expected_output_size(hist, prim: OptPrimitive) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .params import PrivacyParams
+from .params import PrivacyParams, is_int
 from .primitive import _snap, crossover_exponent
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ class TsgdParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
@@ -83,13 +83,12 @@ class _Bounds(dict):
         k, eps, ratio = self._k, self._eps, self._ratio
         if not 0 <= i < 2 * k:
             raise KeyError(i)
-        x = i - k
-        # Closed-form partial sums per outcome; every factor stays in [0, 1]
-        # so no intermediate can overflow regardless of k * eps.
-        if x < 0:
-            cdf = ratio * math.exp(x * eps) * -math.expm1(-(k + 1.0 + x) * eps)
+        # P(X <= i - k) is P(X >= k - i) by symmetry below the middle outcome,
+        # and 1 - P(X >= i - k + 1) from it up.
+        if i < k:
+            cdf = _tail_from_below(ratio, eps, k, i + 1)
         else:
-            cdf = 1.0 + ratio * math.exp(-(x + 1.0) * eps) * math.expm1(-(k - x) * eps)
+            cdf = 1.0 - _tail_from_below(ratio, eps, k, 2 * k - i)
         self[i] = bound = math.ceil(cdf * 2.0**53)
         return bound
 
@@ -140,11 +139,12 @@ def tsgd_pmf(t: TsgdParams, x: int) -> float:
     return t.c * (1.0 - t.p) ** abs(x)
 
 
-def _tail_from_below(t: TsgdParams, a: int) -> float:
+def _tail_from_below(ratio: float, eps: float, k: int, a: int) -> float:
+    # P(X >= k + 1 - a) for 0 < a <= k + 1 and ratio = c/p:
     # delta_effective * (e^(a*eps) - 1) / (e^eps - 1), rearranged so every
-    # factor is bounded: (c/p) * e^(-(k+1-a)*eps) * (1 - e^(-a*eps)).
-    eps = t.eps
-    return (t.c / t.p) * math.exp(-(t.k + 1.0 - a) * eps) * -math.expm1(-a * eps)
+    # factor stays in [0, 1] and no intermediate can overflow whatever k * eps
+    # is: (c/p) * e^(-(k+1-a)*eps) * (1 - e^(-a*eps)).
+    return ratio * math.exp(-(k + 1.0 - a) * eps) * -math.expm1(-a * eps)
 
 
 def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
@@ -153,9 +153,10 @@ def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
         return 0.0
     if mu >= y + t.k:
         return 1.0
+    ratio, eps = t.c / t.p, t.eps
     if mu <= y:
-        return min(1.0, _tail_from_below(t, mu + t.k + 1 - y))
-    return max(0.0, 1.0 - _tail_from_below(t, t.k + y - mu))
+        return min(1.0, _tail_from_below(ratio, eps, t.k, mu + t.k + 1 - y))
+    return max(0.0, 1.0 - _tail_from_below(ratio, eps, t.k, t.k + y - mu))
 
 
 def tsgd_inverse(t: TsgdParams, u53s: Iterable[int]) -> list[int]:

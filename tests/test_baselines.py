@@ -15,7 +15,6 @@ from partsel import (
     PrivacyParams,
     calibrate_gaussian_sigma,
     gaussian_primitive,
-    keep_laplace,
     midpoint,
     percentile_n,
     pi_gaussian,
@@ -52,8 +51,6 @@ class TestLaplace:
     def test_absent_partition_never_released(self):
         lap = LaplacePrimitive(1.0, 1e-5)
         assert pi_laplace(lap, 0) == 0.0
-        rng = np.random.default_rng(0)
-        assert not any(keep_laplace(lap, 0, rng) for _ in range(2000))
 
     def test_single_user_probability_equals_delta(self):
         # the threshold is placed so that a single user is released w.p. delta
@@ -73,19 +70,10 @@ class TestLaplace:
         lap = LaplacePrimitive(1.0, 1e-5)
         rng = np.random.default_rng(2)
         n = lap.threshold - 1.0
-        # same decision rule as keep_laplace, vectorized for volume
         noisy = n + rng.laplace(0.0, 1.0, 10**6)
         rate = float((noisy >= lap.threshold).mean())
         p = 0.5 * math.exp(-1.0)
         assert abs(rate - p) < 3.0 * math.sqrt(p * (1.0 - p) / 10**6)
-        scalar = sum(keep_laplace(lap, n, rng) for _ in range(20_000)) / 20_000
-        assert abs(scalar - p) < 4.0 * math.sqrt(p * (1.0 - p) / 20_000)
-
-    def test_far_above_threshold_always_kept(self):
-        lap = LaplacePrimitive(1.0, 1e-5)
-        rng = np.random.default_rng(3)
-        n = lap.threshold + 50.0
-        assert all(keep_laplace(lap, n, rng) for _ in range(20_000))
 
 
 class TestGaussian:

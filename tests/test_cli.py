@@ -419,7 +419,6 @@ class TestImports:
             *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
             ["midpoints", "--sweep", "eps", "--points", "3", *out],
             ["kappa", *budget, "--kappa-max", "2", *out],
-            ["bench", "--iterations", "10"],
         ]
         assert _modules_after(["click"], argvs) == []
 
@@ -441,13 +440,3 @@ class TestImports:
 
     def test_import_partsel_loads_no_submodule(self):
         assert _modules_after(["partsel"], []) == ["partsel"]
-
-
-class TestBench:
-    def test_reports_timings(self, runner):
-        result = runner.invoke(main, ["bench", "--iterations", "20000"])
-        assert result.exit_code == 0
-        assert "ns/op" in result.output
-        assert "scalar" in result.output
-        assert "pipeline select_partitions:" in result.output
-        assert "ns/key (20000 keys" in result.output

@@ -145,7 +145,7 @@ class TestSelect:
         sigma = math.sqrt(p * (1.0 - p) / 30_000)
         assert abs(len(kept) / 30_000 - p) < 3.0 * sigma
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_per_seed(self):
         prim = OptPrimitive.from_params(PrivacyParams(1.0, 0.05))
         hist = PartitionHistogram.from_counts({f"p{i}": 1 + i % 7 for i in range(500)})
         base = select_partitions(hist, prim, seed=4)
@@ -225,6 +225,22 @@ class TestDualThresholdRelease:
         for bad in (noise.k + 1, -noise.k - 1):
             with pytest.raises(ConfigurationError):
                 dual_threshold_release(hist, ["a"], PARAMS, bad, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PartitionHistogram.from_counts({"a": True}),
+        lambda: ingest([("u1", "a")], max_partitions_per_user=True),
+        lambda: dual_threshold_release(
+            PartitionHistogram.from_counts({"a": 2}), ["a"], PARAMS, True, seed=0
+        ),
+    ],
+    ids=["histogram-count", "partition-bound", "public-threshold"],
+)
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def _plain_uniform(seed: int, purpose: bytes, key: str) -> int:
