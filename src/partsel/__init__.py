@@ -36,7 +36,6 @@ _MODULES = {
     "pipeline": (
         "IngestMode",
         "PartitionHistogram",
-        "ReleaseRecord",
         "dual_threshold_release",
         "ingest",
         "read_rows",

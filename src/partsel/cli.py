@@ -85,13 +85,18 @@ def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
     _write_csv(out, ["n", "prob"], ((n, _fmt(evaluate(n))) for n in range(top + 1)))
 
 
+def _baseline_upper(baseline) -> int:
+    """Search bound for a Laplace or Gaussian baseline: 64 / epsilon counts past its threshold."""
+    return math.ceil(baseline.threshold) + math.ceil(64.0 / baseline.epsilon)
+
+
 def _percentile_row(params: PrivacyParams) -> list[int]:
     from . import baselines
 
     prim = OptPrimitive.from_params(params)
     lap = baselines.LaplacePrimitive.from_params(params)
     opt_upper = prim.n2 + 1
-    lap_upper = math.ceil(lap.threshold) + math.ceil(64.0 / lap.epsilon)
+    lap_upper = _baseline_upper(lap)
     row = [
         baselines.percentile_n(lambda n: pi_opt(prim, n), q, upper=opt_upper)
         for q in (0.05, 0.5, 0.95)
@@ -163,12 +168,10 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
         gauss = baselines.gaussian_primitive(params, kap)
         opt_mid = baselines.midpoint(lambda n: pi_opt(prim, n), upper=prim.n2 + 1)
         lap_mid = baselines.midpoint(
-            lambda n: baselines.pi_laplace(lap, n),
-            upper=math.ceil(lap.threshold) + math.ceil(64.0 / lap.epsilon),
+            lambda n: baselines.pi_laplace(lap, n), upper=_baseline_upper(lap)
         )
         gauss_mid = baselines.midpoint(
-            lambda n: baselines.pi_gaussian(gauss, n),
-            upper=math.ceil(gauss.threshold) + math.ceil(64.0 / gauss.epsilon),
+            lambda n: baselines.pi_gaussian(gauss, n), upper=_baseline_upper(gauss)
         )
         return [kap, opt_mid, lap_mid, gauss_mid]
 
@@ -187,6 +190,8 @@ def select(
         raise ConfigurationError(
             "--public-file and --public-threshold apply only to --mode dual"
         )
+    if mode == "dual" and (public_file is None or public_threshold is None):
+        raise ConfigurationError("dual mode requires --public-file and --public-threshold")
     params = _params(epsilon, delta, neighboring).split(kappa)
     hist = pipeline.ingest(
         pipeline.read_rows(input_path),
@@ -200,17 +205,13 @@ def select(
             pipeline.write_selection(kept, f)
         return
     if mode == "release-counts":
-        records = pipeline.thresholded_release(hist, params, seed)
+        released = pipeline.thresholded_release(hist, params, seed)
     else:
-        if public_file is None or public_threshold is None:
-            raise ConfigurationError(
-                "dual mode requires --public-file and --public-threshold"
-            )
         with open(public_file, encoding="utf-8") as f:
             public = [line.rstrip("\n") for line in f if line.strip()]
-        records = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
+        released = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
     with _output(out) as f:
-        pipeline.write_release(records, f)
+        pipeline.write_release(released, f)
 
 
 def _command(commands, name: str, run: Callable[..., None]) -> argparse.ArgumentParser:

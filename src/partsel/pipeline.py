@@ -20,7 +20,6 @@ import hashlib
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
@@ -37,7 +36,7 @@ class PartitionHistogram:
     """Unique-user counts per partition key: every count is an integer >= 1.
 
     Deduplication happens in :func:`ingest`, which builds the counts; a
-    histogram only stores them and adds up user-disjoint shards.
+    histogram only stores them.
     """
 
     __slots__ = ("_counts",)
@@ -57,41 +56,17 @@ class PartitionHistogram:
             hist._counts[key] = n
         return hist
 
-    def merge(self, other: PartitionHistogram) -> None:
-        """Fold a shard histogram in. Shards must not share users (route rows by user)."""
-        for key, n in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + n
-
-    def count(self, partition: str) -> int:
-        return self._counts.get(partition, 0)
-
     def counts(self) -> dict[str, int]:
         return dict(self._counts)
 
     def keys(self):
         return self._counts.keys()
 
-    def __contains__(self, partition: str) -> bool:
-        return partition in self._counts
-
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PartitionHistogram):
-            return NotImplemented
-        return self._counts == other._counts
-
     def __repr__(self) -> str:
         return f"PartitionHistogram(partitions={len(self._counts)})"
-
-
-@dataclass(frozen=True, order=True)
-class ReleaseRecord:
-    """A released partition, with its noisy count in the count-publishing modes."""
-
-    partition: str
-    noisy_count: int | None = None
 
 
 def ingest(
@@ -194,15 +169,15 @@ def _noisy_above(
     bound: int,
     seed: int,
     purpose: bytes,
-) -> list[tuple[str, int]]:
-    """(key, noisy count) for each key whose count, noised from its uniform, exceeds ``bound``."""
+) -> dict[str, int]:
+    """Key to noisy count, for each key whose count, noised from its uniform, exceeds ``bound``."""
     # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
     # comparison per key, and only the released keys are inverted.
     cutoffs = {n: tsgd_cutoff(noise, bound - n + 1) << 11 for n in set(ns)}
     words = _digests(seed, purpose, keys)
     hits = [(key, n, word >> 11) for key, n, word in zip(keys, ns, words) if word >= cutoffs[n]]
     shifts = tsgd_inverse(noise, [u for _, _, u in hits])
-    return [(key, n + x) for (key, n, _), x in zip(hits, shifts)]
+    return {key: n + x for (key, n, _), x in zip(hits, shifts)}
 
 
 def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -> set[str]:
@@ -220,13 +195,12 @@ def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -
 
 def thresholded_release(
     hist: PartitionHistogram, params: PrivacyParams, seed: int
-) -> list[ReleaseRecord]:
+) -> dict[str, int]:
     """Noise every present count; release key and noisy count when it exceeds k."""
     _check_seed(seed)
     noise = tsgd_params(params)
     counts = hist._counts
-    pairs = _noisy_above(noise, counts, counts.values(), noise.k, seed, b"release")
-    return [ReleaseRecord(key, noisy) for key, noisy in sorted(pairs)]
+    return _noisy_above(noise, counts, counts.values(), noise.k, seed, b"release")
 
 
 def dual_threshold_release(
@@ -235,7 +209,7 @@ def dual_threshold_release(
     params: PrivacyParams,
     public_threshold: int,
     seed: int,
-) -> list[ReleaseRecord]:
+) -> dict[str, int]:
     """Noise public keys (absent ones at zero) and present private keys.
 
     Private keys must clear the privacy bound k; public keys clear the chosen
@@ -256,11 +230,13 @@ def dual_threshold_release(
             raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
     counts = hist._counts
     private = [key for key in counts if key not in public]
-    pairs = _noisy_above(noise, private, [counts[key] for key in private], noise.k, seed, b"dual")
+    private_ns = [counts[key] for key in private]
     public_list = list(public)
     public_ns = [counts.get(key, 0) for key in public_list]
-    pairs += _noisy_above(noise, public_list, public_ns, public_threshold, seed, b"dual")
-    return [ReleaseRecord(key, noisy) for key, noisy in sorted(pairs)]
+    # The private and public keys are disjoint, so one dict holds both releases.
+    released = _noisy_above(noise, private, private_ns, noise.k, seed, b"dual")
+    released.update(_noisy_above(noise, public_list, public_ns, public_threshold, seed, b"dual"))
+    return released
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:
@@ -269,9 +245,8 @@ def write_selection(kept: Iterable[str], out: TextIO) -> None:
         out.write(key + "\n")
 
 
-def write_release(records: Iterable[ReleaseRecord], out: TextIO) -> None:
+def write_release(released: Mapping[str, int], out: TextIO) -> None:
     """Count-mode output: 'partition,noisy_count' CSV sorted by key."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["partition", "noisy_count"])
-    for record in sorted(records):
-        writer.writerow([record.partition, record.noisy_count])
+    writer.writerows(sorted(released.items()))

@@ -328,12 +328,15 @@ class TestSelect:
 
     def test_dual_without_public_config_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
-        _write_input(data, [("u1", "a")])
-        result = runner.invoke(
-            main,
-            ["select", "--input", str(data), "--mode", "dual", "--epsilon", "1", "--delta", "1e-5"],
-        )
-        assert result.exit_code == 2
+        # The second input breaks strict mode (exit 3): the flags are checked before it is read.
+        for rows in ([("u1", "a")], [("u1", "a"), ("u1", "b")]):
+            _write_input(data, rows)
+            result = runner.invoke(
+                main,
+                ["select", "--input", str(data), "--mode", "dual", "--epsilon", "1", "--delta", "1e-5"],
+            )
+            assert result.exit_code == 2
+            assert "dual mode requires" in result.output
 
     def test_dual_flags_outside_dual_mode_exit_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"

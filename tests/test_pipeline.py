@@ -16,7 +16,6 @@ from partsel import (
     OptPrimitive,
     PartitionHistogram,
     PrivacyParams,
-    ReleaseRecord,
     StrictViolationError,
     dual_threshold_release,
     ingest,
@@ -40,7 +39,7 @@ class TestHistogram:
         hist = ingest([("u1", "a"), ("u1", "a"), ("u2", "a")])
         assert hist.counts() == {"a": 2}
 
-    def test_from_counts_is_frozen(self):
+    def test_from_counts_rejects_zero_count(self):
         with pytest.raises(ConfigurationError):
             PartitionHistogram.from_counts({"a": 0})
 
@@ -76,11 +75,10 @@ class TestIngest:
             ),
             max_size=150,
         ),
-        shards=st.integers(min_value=1, max_value=5),
         kappa=st.integers(min_value=1, max_value=3),
         mode=st.sampled_from(list(IngestMode)),
     )
-    def test_sharded_ingest_equals_single_pass(self, rows, shards, kappa, mode):
+    def test_ingest_equals_pair_replay(self, rows, kappa, mode):
         # oracle: replay the rows into a set of kept (user, partition) pairs
         kept: set[tuple[str, str]] = set()
         over_bound = False
@@ -95,17 +93,8 @@ class TestIngest:
             with pytest.raises(StrictViolationError):
                 ingest(rows, mode=mode, max_partitions_per_user=kappa)
             return
-        single = ingest(rows, mode=mode, max_partitions_per_user=kappa)
-        assert single.counts() == Counter(part for _, part in kept)
-        # routing rows by user keeps each user's stream intact per shard
-        buckets = [[] for _ in range(shards)]
-        for user, part in rows:
-            idx = hashlib.blake2b(user.encode(), digest_size=2).digest()[0] % shards
-            buckets[idx].append((user, part))
-        merged = PartitionHistogram()
-        for bucket in buckets:
-            merged.merge(ingest(bucket, mode=mode, max_partitions_per_user=kappa))
-        assert merged == single
+        hist = ingest(rows, mode=mode, max_partitions_per_user=kappa)
+        assert hist.counts() == Counter(part for _, part in kept)
 
 
 class TestCsvReader:
@@ -165,16 +154,16 @@ class TestThresholdedRelease:
         n = 2 * noise.k + 1
         hist = PartitionHistogram.from_counts({"big": n})
         for seed in range(40):
-            (record,) = thresholded_release(hist, PARAMS, seed=seed)
-            assert record.partition == "big"
-            assert noise.k + 1 <= record.noisy_count <= n + noise.k
+            released = thresholded_release(hist, PARAMS, seed=seed)
+            assert released.keys() == {"big"}
+            assert noise.k + 1 <= released["big"] <= n + noise.k
 
     def test_released_counts_exceed_bound(self):
         hist = PartitionHistogram.from_counts({f"p{i}": 1 + i % 30 for i in range(2000)})
         noise = tsgd_params(PARAMS)
-        records = thresholded_release(hist, PARAMS, seed=8)
-        assert all(r.noisy_count > noise.k for r in records)
-        assert {r.partition for r in records} <= set(hist.keys())
+        released = thresholded_release(hist, PARAMS, seed=8)
+        assert all(noisy > noise.k for noisy in released.values())
+        assert released.keys() <= hist.keys()
 
     @pytest.mark.parametrize("count", [1, 6, 11])
     def test_release_rate_matches_optimal_curve(self, count):
@@ -196,28 +185,28 @@ class TestDualThresholdRelease:
         noise = tsgd_params(PARAMS)
         hist = PartitionHistogram.from_counts({"present": 3})
         public = [f"absent{i}" for i in range(3000)] + ["present"]
-        records = dual_threshold_release(hist, public, PARAMS, noise.k, seed=5)
-        assert {r.partition for r in records} <= {"present"}
+        released = dual_threshold_release(hist, public, PARAMS, noise.k, seed=5)
+        assert released.keys() <= {"present"}
 
     def test_lowest_threshold_releases_every_present_public_key(self):
         noise = tsgd_params(PARAMS)
         hist = PartitionHistogram.from_counts({f"pub{i}": 1 + i % 4 for i in range(3000)})
-        records = dual_threshold_release(hist, list(hist.keys()), PARAMS, -noise.k, seed=6)
-        assert {r.partition for r in records} == set(hist.keys())
+        released = dual_threshold_release(hist, list(hist.keys()), PARAMS, -noise.k, seed=6)
+        assert released.keys() == hist.keys()
 
     def test_absent_public_keys_release_at_pure_noise_rate(self):
         noise = tsgd_params(PARAMS)
         keys = 30_000
         public = [f"ghost{i:05d}" for i in range(keys)]
-        records = dual_threshold_release(PartitionHistogram(), public, PARAMS, 0, seed=7)
+        released = dual_threshold_release(PartitionHistogram(), public, PARAMS, 0, seed=7)
         p = tsgd_tail(noise, 0, 1)
         sigma = math.sqrt(p * (1.0 - p) / keys)
-        assert abs(len(records) / keys - p) <= 3.0 * sigma
+        assert abs(len(released) / keys - p) <= 3.0 * sigma
 
     def test_output_keys_bounded_by_present_and_public(self):
         hist = PartitionHistogram.from_counts({"a": 2, "b": 40})
-        records = dual_threshold_release(hist, ["c"], PARAMS, 0, seed=8)
-        assert {r.partition for r in records} <= {"a", "b", "c"}
+        released = dual_threshold_release(hist, ["c"], PARAMS, 0, seed=8)
+        assert released.keys() <= {"a", "b", "c"}
 
     def test_threshold_range_enforced(self):
         noise = tsgd_params(PARAMS)
@@ -240,6 +229,21 @@ class TestDualThresholdRelease:
 )
 def test_bool_is_not_an_integer(call):
     with pytest.raises(ConfigurationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PartitionHistogram.from_counts({"": 1}),
+        lambda: PartitionHistogram.from_counts({1: 2}),
+        lambda: dual_threshold_release(PartitionHistogram(), [""], PARAMS, 0, seed=0),
+        lambda: dual_threshold_release(PartitionHistogram(), [7], PARAMS, 0, seed=0),
+    ],
+    ids=["empty-key", "int-key", "empty-public-key", "int-public-key"],
+)
+def test_keys_must_be_nonempty_strings(call):
+    with pytest.raises(ConfigurationError, match="nonempty strings"):
         call()
 
 
@@ -285,13 +289,13 @@ class TestPerKeyDecisions:
         assert 0 < len(kept) < len(counts)
 
         release = noisy(b"release", list(counts))
-        expected = [ReleaseRecord(key, m) for key, m in sorted(release.items()) if m > noise.k]
+        expected = {key: m for key, m in release.items() if m > noise.k}
         assert thresholded_release(hist, params, seed) == expected
 
         dual = noisy(b"dual", sorted(set(counts) | public))
         for threshold in (-noise.k, 0, noise.k):
             bound = {key: threshold if key in public else noise.k for key in dual}
-            expected = [ReleaseRecord(key, m) for key, m in sorted(dual.items()) if m > bound[key]]
+            expected = {key: m for key, m in dual.items() if m > bound[key]}
             assert dual_threshold_release(hist, public, params, threshold, seed) == expected
 
     @settings(max_examples=40, deadline=None)
@@ -323,12 +327,12 @@ class TestPerKeyDecisions:
             alone = PartitionHistogram.from_counts({key: counts[key]} if key in counts else {})
             mine = [key] if key in public else []
             assert select_partitions(alone, prim, seed) == kept & {key}
-            assert thresholded_release(alone, params, seed) == [
-                r for r in released if r.partition == key
-            ]
-            assert dual_threshold_release(alone, mine, params, threshold, seed) == [
-                r for r in dual if r.partition == key
-            ]
+            assert thresholded_release(alone, params, seed) == {
+                k: v for k, v in released.items() if k == key
+            }
+            assert dual_threshold_release(alone, mine, params, threshold, seed) == {
+                k: v for k, v in dual.items() if k == key
+            }
 
     def test_high_k_release_inverts_per_key(self):
         params = PrivacyParams(1e-6, 1e-10)
@@ -337,11 +341,10 @@ class TestPerKeyDecisions:
         sizes = [1, noise.k, noise.k + 1, 2 * noise.k + 1]
         counts = {f"p{i:02d}": sizes[i % 4] for i in range(40)}
         hist = PartitionHistogram.from_counts(counts)
-        records = thresholded_release(hist, params, seed=3)
-        assert thresholded_release(hist, params, seed=3) == records
+        released = thresholded_release(hist, params, seed=3)
+        assert thresholded_release(hist, params, seed=3) == released
         reversed_hist = PartitionHistogram.from_counts(dict(reversed(counts.items())))
-        assert thresholded_release(reversed_hist, params, seed=3) == records
-        released = {r.partition: r.noisy_count for r in records}
+        assert thresholded_release(reversed_hist, params, seed=3) == released
         assert {key for key, n in counts.items() if n == 2 * noise.k + 1} <= set(released)
         shifts = [noisy - counts[key] for key, noisy in released.items()]
         assert all(abs(shift) <= noise.k for shift in shifts)
@@ -359,6 +362,6 @@ class TestWriters:
         import csv
 
         out = io.StringIO()
-        write_release([ReleaseRecord("x,y", 12), ReleaseRecord("plain", 13)], out)
+        write_release({"x,y": 12, "plain": 13}, out)
         rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert rows == [["partition", "noisy_count"], ["plain", "13"], ["x,y", "12"]]
