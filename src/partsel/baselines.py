@@ -57,6 +57,7 @@ def _log_ndtr(x: float) -> float:
 
 
 _BRENT_MAXITER = 100
+_BRENT_NAN = "The function value at x={} is NaN; solver cannot continue."
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -68,16 +69,14 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol
     ``f(xb)`` have the same sign or ``f`` returns NaN, and ``RuntimeError``
     after 100 iterations without convergence.
     """
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = f(xpre)
+    if math.isnan(fpre):
+        raise ValueError(_BRENT_NAN.format(xpre))
+    fcur = f(xcur)
+    if math.isnan(fcur):
+        raise ValueError(_BRENT_NAN.format(xcur))
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -120,7 +119,9 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(_BRENT_NAN.format(xcur))
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
@@ -183,8 +184,59 @@ def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> flo
     return x + math.log1p(-math.exp(y - x))
 
 
+# Absolute tolerance of the sigma root find.
+_SIGMA_TOL = 1e-12
+
+
+def _gaussian_profile(epsilon: float, sensitivity: float) -> Callable[[float], float]:
+    """:func:`_log_delta_gaussian` at this epsilon and sensitivity, memoized by sigma.
+
+    Every calibration at one epsilon and sensitivity brackets from the same
+    points sensitivity * 2^j, whatever delta it solves for, so a search that
+    shares one profile across its calibrations evaluates each of them once.
+    """
+    memo: dict[float, float] = {}
+
+    def profile(sigma: float) -> float:
+        value = memo.get(sigma)
+        if value is None:
+            value = memo[sigma] = _log_delta_gaussian(sigma, epsilon, sensitivity)
+        return value
+
+    return profile
+
+
+def _solve_sigma(
+    profile: Callable[[float], float], sensitivity: float, delta: float, tol: float
+) -> float:
+    """The sigma at which ``profile`` (log delta, decreasing in sigma) equals log(delta)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    target = math.log(delta)
+    # The profile is decreasing in sigma: expand until the target is bracketed.
+    # Both directions start from one evaluation at sigma = sensitivity.
+    lo = hi = float(sensitivity)
+    at_start = at_lo = profile(lo)
+    for _ in range(200):
+        if at_lo > target:
+            break
+        lo /= 2.0
+        at_lo = profile(lo)
+    else:
+        raise ValueError("gaussian calibration failed: could not bracket sigma from below")
+    at_hi = at_start
+    for _ in range(200):
+        if at_hi < target:
+            break
+        hi *= 2.0
+        at_hi = profile(hi)
+    else:
+        raise ValueError("gaussian calibration failed: could not bracket sigma from above")
+    return _brentq(lambda s: profile(s) - target, lo, hi, xtol=tol, rtol=8.9e-16)
+
+
 def calibrate_gaussian_sigma(
-    epsilon: float, delta: float, sensitivity: float, tol: float = 1e-12
+    epsilon: float, delta: float, sensitivity: float, tol: float = _SIGMA_TOL
 ) -> float:
     """Smallest Gaussian noise scale that is (epsilon, delta)-DP at this L2 sensitivity.
 
@@ -203,38 +255,9 @@ def calibrate_gaussian_sigma(
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not sensitivity > 0.0:
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
-    target = math.log(delta)
-    # The profile is decreasing in sigma: expand until the target is bracketed.
-    # Both directions start from one evaluation at sigma = sensitivity.
-    lo = hi = float(sensitivity)
-    at_start = at_lo = _log_delta_gaussian(lo, epsilon, sensitivity)
-    for _ in range(200):
-        if at_lo > target:
-            break
-        lo /= 2.0
-        at_lo = _log_delta_gaussian(lo, epsilon, sensitivity)
-    else:
-        raise ValueError("gaussian calibration failed: could not bracket sigma from below")
-    at_hi = at_start
-    for _ in range(200):
-        if at_hi < target:
-            break
-        hi *= 2.0
-        at_hi = _log_delta_gaussian(hi, epsilon, sensitivity)
-    else:
-        raise ValueError("gaussian calibration failed: could not bracket sigma from above")
-    # The solver starts by evaluating both bracket ends: answer those from here.
-    ends = {lo: at_lo - target, hi: at_hi - target}
-
-    def objective(s: float) -> float:
-        known = ends.get(s)
-        return _log_delta_gaussian(s, epsilon, sensitivity) - target if known is None else known
-
-    return _brentq(objective, lo, hi, xtol=tol, rtol=8.9e-16)
+    return _solve_sigma(_gaussian_profile(epsilon, sensitivity), sensitivity, delta, tol)
 
 
 def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
@@ -244,7 +267,8 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
     sqrt(kappa)); the threshold is placed so the chance that any of the kappa
     noised empty counts clears it stays within the thresholding share of
     delta. The split is found by golden-section search over the log split
-    fraction; the objective is empirically unimodal.
+    fraction; the objective is empirically unimodal. All 67 calibrations of
+    the search share one memoized privacy profile.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if not eps > 0.0:
@@ -254,38 +278,38 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
     if not is_int(kappa) or kappa < 1:
         raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
     sensitivity = math.sqrt(kappa)
+    profile = _gaussian_profile(eps, sensitivity)
     # statistics (about 5 ms to import) is loaded here to keep it off the
     # start-up of every other command. Its inv_cdf is Wichura's AS241.
     from statistics import NormalDist
 
     ndtri = NormalDist().inv_cdf
 
-    def build(log_fraction: float) -> GaussianPrimitive:
-        fraction = math.exp(log_fraction)
-        delta_noise = fraction * delta
+    def split(log_fraction: float) -> tuple[float, float, float, float]:
+        """delta_noise, delta_threshold, sigma and threshold at this log split fraction."""
+        delta_noise = math.exp(log_fraction) * delta
         delta_threshold = delta - delta_noise
-        sigma = calibrate_gaussian_sigma(eps, delta_noise, sensitivity)
+        sigma = _solve_sigma(profile, sensitivity, delta_noise, _SIGMA_TOL)
         # per-count tail bound: 1 - (1 - delta_threshold)^(1/kappa)
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
-        threshold = 1.0 + sigma * -ndtri(tail)
-        return GaussianPrimitive(eps, delta_noise, delta_threshold, sigma, threshold, kappa)
+        return delta_noise, delta_threshold, sigma, 1.0 + sigma * -ndtri(tail)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(1e-9), math.log1p(-1e-9)
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
-    f1 = build(c1).threshold
-    f2 = build(c2).threshold
+    f1 = split(c1)[3]
+    f2 = split(c2)[3]
     for _ in range(64):
         if f1 <= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - invphi * (b - a)
-            f1 = build(c1).threshold
+            f1 = split(c1)[3]
         else:
             a, c1, f1 = c1, c2, f2
             c2 = a + invphi * (b - a)
-            f2 = build(c2).threshold
-    return build((a + b) / 2.0)
+            f2 = split(c2)[3]
+    return GaussianPrimitive(eps, *split((a + b) / 2.0), kappa)
 
 
 def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
@@ -300,8 +324,11 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
 def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:
     """Smallest count n >= 1 with pi(n) >= q, for nondecreasing pi.
 
-    Exponential growth to bracket, then binary search. ``upper`` bounds the
-    search for primitives that approach 1 only asymptotically.
+    With ``upper`` the search bisects [1, upper] directly, and raises
+    ``ValueError`` when pi(upper) < q; ``upper`` bounds the search for
+    primitives that approach 1 only asymptotically. Without it the search
+    doubles from 1 until it brackets the answer, then bisects. For a
+    nondecreasing pi the least such n is unique, so both find the same count.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -310,19 +337,20 @@ def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = No
         raise ValueError(f"upper must be >= 1, got {upper}")
     if pi(1) >= q:
         return 1
-    lo, hi = 1, 2
-    while hi < hard and pi(hi) < q:
-        lo, hi = hi, hi * 2
-    if hi >= hard:
-        hi = hard
-        if pi(hi) < q:
-            raise ValueError(f"pi never reaches {q} within the search bound {hard}")
+    # Invariant: pi(lo) < q, and the answer, if any, lies in (lo, hi].
+    lo, hi = 1, hard
+    if upper is None:
+        hi = 2
+        while hi < hard and pi(hi) < q:
+            lo, hi = hi, hi * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pi(mid) >= q:
             hi = mid
         else:
             lo = mid
+    if hi == hard and pi(hard) < q:
+        raise ValueError(f"pi never reaches {q} within the search bound {hard}")
     return hi
 
 

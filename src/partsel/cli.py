@@ -193,6 +193,8 @@ def select(
     if mode == "dual" and (public_file is None or public_threshold is None):
         raise ConfigurationError("dual mode requires --public-file and --public-threshold")
     params = _params(epsilon, delta, neighboring).split(kappa)
+    # Read the public keys first, so that a bad file fails before the input is ingested.
+    public = pipeline.read_keys(public_file) if mode == "dual" else None
     hist = pipeline.ingest(
         pipeline.read_rows(input_path),
         mode=pipeline.IngestMode(conflict),
@@ -207,8 +209,6 @@ def select(
     if mode == "release-counts":
         released = pipeline.thresholded_release(hist, params, seed)
     else:
-        with open(public_file, encoding="utf-8") as f:
-            public = [line.rstrip("\n") for line in f if line.strip()]
         released = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
     with _output(out) as f:
         pipeline.write_release(released, f)

@@ -113,10 +113,44 @@ def ingest(
 def read_rows(source: str | os.PathLike | TextIO) -> Iterator[tuple[str, str]]:
     """Rows from a ``user_id,partition`` CSV (RFC 4180, UTF-8, header required)."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="", encoding="utf-8") as f:
-            yield from _read_csv(f)
+        try:
+            with open(source, newline="", encoding="utf-8") as f:
+                yield from _read_csv(f)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from None
     else:
-        yield from _read_csv(source)
+        try:
+            yield from _read_csv(source)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"input is not valid UTF-8: {exc.reason}") from None
+
+
+def read_keys(path: str | os.PathLike) -> list[str]:
+    """The nonempty lines of a UTF-8 text file, one partition key each."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> InputFormatError:
+    """The error for a file that failed to decode, naming it and its first line that is not UTF-8.
+
+    A text stream reports only a byte offset into its current chunk, so the
+    file is read again to find the line. Latin-1 maps each byte to one
+    character, so it splits lines where the readers do (at LF, CR and CRLF)
+    and gives each line's bytes back unchanged.
+    """
+    with open(path, encoding="latin-1", newline="") as f:
+        for line_num, line in enumerate(f, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return InputFormatError(
+                    f"line {line_num}: file {os.fsdecode(path)!r} is not valid UTF-8: {bad.reason}"
+                )
+    return InputFormatError(f"file {os.fsdecode(path)!r} is not valid UTF-8: {exc.reason}")
 
 
 def _read_csv(f: TextIO) -> Iterator[tuple[str, str]]:

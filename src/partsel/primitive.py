@@ -98,9 +98,11 @@ def compute_n2(params: PrivacyParams, n1: int, pi_n1: float) -> int:
     return n1 + math.floor(_snap(grow))
 
 
-def _growth_value(eps: float, delta: float, n: float) -> float:
-    """First-branch value delta * (e^(n*eps) - 1) / (e^eps - 1), clamped to 1."""
-    em1 = _expm1(eps)
+def _growth_value(eps: float, delta: float, em1: float, n: float) -> float:
+    """First-branch value delta * (e^(n*eps) - 1) / (e^eps - 1), clamped to 1.
+
+    ``em1`` is ``_expm1(eps)``, which callers compute once per budget.
+    """
     if math.isinf(em1):
         # work in logs once e^eps overflows; exact at n = 1 where the value is delta
         return min(1.0, _exp(math.log(delta) + (n - 1.0) * eps))
@@ -121,13 +123,22 @@ class OptPrimitive:
     n2: int
     pi_n1: float
 
+    def __post_init__(self) -> None:
+        # Constants of the budget that pi_opt reads on every evaluation. They
+        # are plain attributes, not fields, so the constructor, repr, == and
+        # hash see only the four fields above.
+        eps = self.params.effective_epsilon
+        object.__setattr__(self, "_eps", eps)
+        object.__setattr__(self, "_delta", self.params.effective_delta)
+        object.__setattr__(self, "_em1", _expm1(eps))
+
     @classmethod
     def from_params(cls, params: PrivacyParams) -> OptPrimitive:
         eps, delta = params.effective_epsilon, params.effective_delta
         if delta == 0.0 or eps == 0.0:
             return cls(params=params, n1=0, n2=0, pi_n1=0.0)
         n1 = compute_n1(params)
-        pi_n1 = _growth_value(eps, delta, n1)
+        pi_n1 = _growth_value(eps, delta, _expm1(eps), n1)
         n2 = compute_n2(params, n1, pi_n1)
         return cls(params=params, n1=n1, n2=n2, pi_n1=pi_n1)
 
@@ -136,17 +147,17 @@ def pi_opt(prim: OptPrimitive, n: int) -> float:
     """Probability of keeping a partition with ``n`` unique users."""
     if n < 0:
         raise ValueError(f"count must be >= 0, got {n}")
-    eps = prim.params.effective_epsilon
-    delta = prim.params.effective_delta
+    eps = prim._eps
+    delta = prim._delta
     if n == 0 or delta == 0.0:
         return 0.0
     if eps == 0.0:
         return min(1.0, n * delta)
     if n <= prim.n1:
-        return _growth_value(eps, delta, n)
+        return _growth_value(eps, delta, prim._em1, n)
     if n <= prim.n2:
         m = n - prim.n1
-        grown = -math.expm1(-m * eps) * (1.0 + delta / _expm1(eps))
+        grown = -math.expm1(-m * eps) * (1.0 + delta / prim._em1)
         return min(1.0, grown + math.exp(-m * eps) * prim.pi_n1)
     return 1.0
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from statistics import NormalDist
 from unittest import mock
@@ -119,6 +120,17 @@ class TestGaussian:
         assert prim.sigma > 0.0
         assert prim.delta_noise + prim.delta_threshold == pytest.approx(1e-5, rel=1e-12)
         assert prim.delta_noise > 0.0 and prim.delta_threshold > 0.0
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    def test_primitive_evaluates_each_sigma_once(self, kappa):
+        # Its 67 calibrations share one memoized profile: the bracket points
+        # sqrt(kappa) * 2^j recur in each of them.
+        with mock.patch.object(
+            baselines, "_log_delta_gaussian", wraps=baselines._log_delta_gaussian
+        ) as profile:
+            gaussian_primitive(PrivacyParams(1.0, 1e-5), kappa)
+        sigmas = [c.args[0] for c in profile.call_args_list]
+        assert sigmas and len(set(sigmas)) == len(sigmas)
 
     def test_curve_values(self):
         prim = gaussian_primitive(PrivacyParams(1.0, 1e-5), 1)
@@ -295,6 +307,27 @@ class TestSummaries:
     def test_unreachable_quantile_raises(self):
         with pytest.raises(ValueError):
             percentile_n(lambda n: 0.3, 0.9, upper=128)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 1e-9, 0.05, 0.3, 0.5, 0.5, 0.95, 1.0]), min_size=1, max_size=300
+        ).map(sorted),
+        q=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_bounded_search_agrees_with_doubling_and_scan(self, values, q):
+        # A nondecreasing step function on [1, U], and 1 past U.
+        upper = len(values)
+        pi = lambda n: values[n - 1] if n <= upper else 1.0
+        scan = next((n for n in range(1, upper + 1) if pi(n) >= q), None)
+        if scan is None:
+            message = f"pi never reaches {q} within the search bound {upper}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                percentile_n(pi, q, upper=upper)
+            assert percentile_n(pi, q) == upper + 1
+        else:
+            assert percentile_n(pi, q, upper=upper) == scan
+            assert percentile_n(pi, q) == scan
 
     def test_validation(self):
         with pytest.raises(ValueError):

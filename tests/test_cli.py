@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -238,6 +239,41 @@ class TestKappa:
         assert _modules_after(["numpy", "scipy"], argvs) == []
 
 
+# sha256 of the sweep tables as the CLI writes them. The tables compare the
+# optimal curve with the Laplace and Gaussian baselines; a change to any
+# float operation behind them shows here. probs --strategy gauss is left out:
+# its 7th digit moves with ulp-level differences between libm builds.
+SWEEP_TABLE_SHA256 = [
+    pytest.param(
+        ["midpoints", "--sweep", "eps"],
+        "d0149089c40b35d1e610b4bb77a3397de6e1375ec45d54d33f0c243430febdf8",
+        id="midpoints-eps",
+    ),
+    pytest.param(
+        ["midpoints", "--sweep", "delta"],
+        "1a87e068d1980d58ea0c8a34a895883bd7231b22860806bd2e672146a42265fc",
+        id="midpoints-delta",
+    ),
+    pytest.param(
+        ["kappa", "--epsilon", "1", "--delta", "1e-5", "--kappa-max", "7"],
+        "c71fb0090492901dfc79599f3d2edfec8d54d4e1e49c98161b6d9ae2129f7ce2",
+        id="kappa-1-1e-5-7",
+    ),
+    pytest.param(
+        ["kappa", "--epsilon", "0.1", "--delta", "1e-10", "--kappa-max", "10"],
+        "bad3ef3e56f35b7647516b33cd418b033c6db4890fad25102cf91407847882d1",
+        id="kappa-0.1-1e-10-10",
+    ),
+]
+
+
+@pytest.mark.parametrize(("argv", "sha256"), SWEEP_TABLE_SHA256)
+def test_sweep_tables_are_pinned(runner, tmp_path, argv, sha256):
+    out = tmp_path / "table.csv"
+    assert runner.invoke(main, [*argv, "--out", str(out)]).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestSelect:
     def test_deterministic_output(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
@@ -325,6 +361,36 @@ class TestSelect:
             )
             assert result.exit_code == 2
             assert f"line {line}:" in result.output
+
+    @pytest.mark.parametrize(
+        ("bad_line", "eol"), [(3, b"\n"), (5000, b"\n"), (3, b"\r")], ids=["lf-3", "lf-5000", "cr-3"]
+    )
+    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, bad_line, eol):
+        # Line 5000 lies past the first chunk the text layer decodes.
+        data = tmp_path / "rows.csv"
+        lines = [b"user_id,partition", *(b"u%d,p" % i for i in range(2, bad_line)), b"u0,b\xff", b"u1,c"]
+        data.write_bytes(eol.join(lines) + eol)
+        result = runner.invoke(
+            main, ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5"]
+        )
+        assert result.exit_code == 2
+        assert f"line {bad_line}:" in result.output
+        assert str(data) in result.output
+
+    def test_non_utf8_public_file_fails_before_ingest(self, runner, tmp_path):
+        data = tmp_path / "rows.csv"
+        # This input breaks strict mode (exit 3) once ingested.
+        _write_input(data, [("u1", "a"), ("u1", "b")])
+        public = tmp_path / "public.txt"
+        public.write_bytes(b"known-a\nknown-\xffb\n")
+        result = runner.invoke(
+            main,
+            ["select", "--input", str(data), "--mode", "dual", "--epsilon", "1",
+             "--delta", "1e-5", "--public-file", str(public), "--public-threshold", "0"],
+        )
+        assert result.exit_code == 2
+        assert "line 2:" in result.output
+        assert str(public) in result.output
 
     def test_dual_without_public_config_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"

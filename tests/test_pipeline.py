@@ -117,6 +117,11 @@ class TestCsvReader:
             with pytest.raises(InputFormatError, match=f"line {line}:"):
                 list(read_rows(io.StringIO("user_id,partition\n" + body)))
 
+    def test_rejects_non_utf8_stream(self):
+        raw = io.BytesIO(b"user_id,partition\nu1,\xff\n")
+        with pytest.raises(InputFormatError, match="not valid UTF-8"):
+            list(read_rows(io.TextIOWrapper(raw, encoding="utf-8", newline="")))
+
 
 class TestSelect:
     def test_saturated_partition_always_kept_absent_never(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -130,6 +131,23 @@ class TestClosedForm:
         prim = _prim(0.5, 1e-7)
         ns = np.arange(prim.n2 + 4)
         assert pi_opt_many(prim, ns).tolist() == [pi_opt(prim, int(n)) for n in ns]
+
+    def test_direct_construction_keeps_the_four_fields(self, budget_grid):
+        # pi_opt reads constants that the primitive derives from its params.
+        # One built from the four fields must evaluate as from_params does,
+        # and repr, == and hash must see those four fields only.
+        extremes = [PrivacyParams(0.0, 1e-5), PrivacyParams(1.0, 0.0), PrivacyParams(800.0, 1e-5)]
+        for params in [*budget_grid, *extremes]:
+            ref = OptPrimitive.from_params(params)
+            prim = OptPrimitive(params=params, n1=ref.n1, n2=ref.n2, pi_n1=ref.pi_n1)
+            ns = range(ref.n2 + 4)
+            assert [pi_opt(prim, n) for n in ns] == [pi_opt(ref, n) for n in ns]
+            assert prim == ref and hash(prim) == hash(ref)
+            assert dataclasses.replace(prim, n2=prim.n2 + 1) != ref
+            assert repr(prim) == (
+                f"OptPrimitive(params={params!r}, n1={ref.n1}, n2={ref.n2}, pi_n1={ref.pi_n1!r})"
+            )
+        assert [f.name for f in dataclasses.fields(OptPrimitive)] == ["params", "n1", "n2", "pi_n1"]
 
     def test_negative_count_rejected(self):
         prim = _prim(1.0, 1e-5)
