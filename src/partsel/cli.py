@@ -39,6 +39,21 @@ def _existing_file(path: str) -> str:
     return path
 
 
+def _output_file(path: str) -> str:
+    """argparse type of ``--out``: '-' for stdout, or a file that can be opened for writing."""
+    if path == "-":
+        return path
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    target = path if os.path.exists(path) else parent
+    if not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{target!r} is not writable")
+    return path
+
+
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """The UTF-8 text output: stdout for '-', else the file at ``path``."""
@@ -232,7 +247,7 @@ def _neighboring_and_out(parser: argparse.ArgumentParser) -> None:
         help="Neighboring-database model; 'replace' halves the effective budget. "
         "Default: %(default)s.",
     )
-    parser.add_argument("--out", default="-", help="Output path ('-' for stdout). Default: %(default)s.")
+    parser.add_argument("--out", type=_output_file, default="-", help="Output path ('-' for stdout). Default: %(default)s.")
 
 
 def _parser() -> argparse.ArgumentParser:

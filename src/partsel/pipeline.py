@@ -14,12 +14,15 @@ released keys have their noise inverted from the integer CDF bounds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import hashlib
+import itertools
 import os
 import sys
 from array import array
+from collections import Counter
 from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
@@ -79,50 +82,112 @@ def ingest(
     STRICT raises when a user appears with more distinct partitions than
     ``max_partitions_per_user``; FIRST_WINS silently keeps each user's
     earliest distinct partitions in input order (a non-private preprocessing
-    convention). Each (user, partition) pair is counted at most once.
+    convention). Each (user, partition) pair is counted at most once. Given
+    the rows of :func:`read_rows`, ingest reads the CSV in the same pass.
     """
     if not is_int(max_partitions_per_user) or max_partitions_per_user < 1:
         raise ConfigurationError(
             f"max_partitions_per_user must be >= 1, got {max_partitions_per_user!r}"
         )
-    hist = PartitionHistogram()
-    counts = hist._counts
-    seen: dict[str, tuple[str, ...]] = {}
-    for i, row in enumerate(rows, start=1):
-        try:
-            user_id, partition = row
-        except (TypeError, ValueError):
-            raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
-        if not isinstance(user_id, str) or not user_id or not isinstance(partition, str) or not partition:
-            raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
-        parts = seen.get(user_id, ())
-        if partition in parts:
-            continue
-        if len(parts) >= max_partitions_per_user:
-            if mode is IngestMode.STRICT:
+    strict = mode is IngestMode.STRICT
+    further = max_partitions_per_user - 1
+    # Each user's first partition, and the further ones that count (kappa > 1 only).
+    first: dict[str, str] = {}
+    more: dict[str, tuple[str, ...]] = {}
+    # The rows of read_rows come straight from their csv reader, and their errors name the line.
+    from_csv = isinstance(rows, _CsvRows)
+    with rows.reader() if from_csv else contextlib.nullcontext(rows) as pairs:
+        for i, row in enumerate(pairs, start=1):
+            try:
+                user_id, partition = row
+            except (TypeError, ValueError):
+                if not from_csv:
+                    raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
+                if not row:  # a blank line
+                    continue
+                raise _line_error(pairs) from None
+            if not (isinstance(user_id, str) and isinstance(partition, str) and user_id and partition):
+                if from_csv:
+                    raise _line_error(pairs)
+                raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
+            if first.setdefault(user_id, partition) == partition:
+                continue
+            others = more.get(user_id, ())
+            if partition in others:
+                continue
+            if len(others) < further:
+                more[user_id] = others + (partition,)
+            elif strict:
                 raise StrictViolationError(
                     f"user {user_id!r} contributes more than "
                     f"{max_partitions_per_user} partition(s)"
                 )
-            continue
-        seen[user_id] = parts + (partition,)
-        counts[partition] = counts.get(partition, 0) + 1
+    counts = Counter(first.values())
+    counts.update(itertools.chain.from_iterable(more.values()))
+    hist = PartitionHistogram()
+    hist._counts = counts
     return hist
 
 
-def read_rows(source: str | os.PathLike | TextIO) -> Iterator[tuple[str, str]]:
-    """Rows from a ``user_id,partition`` CSV (RFC 4180, UTF-8, header required)."""
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, newline="", encoding="utf-8") as f:
-                yield from _read_csv(f)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(source, exc) from None
-    else:
-        try:
-            yield from _read_csv(source)
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"input is not valid UTF-8: {exc.reason}") from None
+def _line_error(reader) -> InputFormatError:
+    return InputFormatError(
+        f"line {reader.line_num}: expected 'user_id,partition' with nonempty fields"
+    )
+
+
+class _CsvRows:
+    """The rows of a ``user_id,partition`` CSV, as (user_id, partition) tuples.
+
+    Each iteration reads the source again: a path from its start, a stream
+    from where it stands.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, source: str | os.PathLike | TextIO):
+        self._source = source
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        with self.reader() as reader:
+            for row in reader:
+                if len(row) == 2 and row[0] and row[1]:
+                    yield row[0], row[1]
+                elif row:  # not a blank line
+                    raise _line_error(reader)
+
+    @contextlib.contextmanager
+    def reader(self) -> Iterator:
+        """A csv reader past the checked header.
+
+        A CSV or decoding error raised in the block becomes an
+        :class:`InputFormatError` naming the line.
+        """
+        source = self._source
+        is_path = isinstance(source, (str, os.PathLike))
+        with open(source, newline="", encoding="utf-8") if is_path else contextlib.nullcontext(source) as f:
+            reader = csv.reader(f, strict=True)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise InputFormatError("line 1: missing header 'user_id,partition'")
+                if header != ["user_id", "partition"]:
+                    raise InputFormatError(f"line 1: expected header 'user_id,partition', got {header!r}")
+                yield reader
+            except csv.Error as exc:
+                raise InputFormatError(f"line {reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                if is_path:
+                    raise _not_utf8(source, exc) from None
+                raise InputFormatError(f"input is not valid UTF-8: {exc.reason}") from None
+
+
+def read_rows(source: str | os.PathLike | TextIO) -> Iterable[tuple[str, str]]:
+    """Rows from a ``user_id,partition`` CSV (RFC 4180, UTF-8, header required).
+
+    The result reads the source each time it is iterated: again from the
+    start for a path, once for a stream. :func:`ingest` reads it in one pass.
+    """
+    return _CsvRows(source)
 
 
 def read_keys(path: str | os.PathLike) -> list[str]:
@@ -151,26 +216,6 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> InputFormatEr
                     f"line {line_num}: file {os.fsdecode(path)!r} is not valid UTF-8: {bad.reason}"
                 )
     return InputFormatError(f"file {os.fsdecode(path)!r} is not valid UTF-8: {exc.reason}")
-
-
-def _read_csv(f: TextIO) -> Iterator[tuple[str, str]]:
-    reader = csv.reader(f, strict=True)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise InputFormatError("line 1: missing header 'user_id,partition'")
-        if header != ["user_id", "partition"]:
-            raise InputFormatError(f"line 1: expected header 'user_id,partition', got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise InputFormatError(
-                    f"line {reader.line_num}: expected 'user_id,partition' with nonempty fields"
-                )
-            yield row[0], row[1]
-    except csv.Error as exc:
-        raise InputFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _check_seed(seed: int) -> None:

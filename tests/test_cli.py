@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partsel
@@ -161,15 +161,22 @@ class TestMidpoints:
         points=st.integers(1, 300),
         same_ends=st.booleans(),
     )
+    @example(lo=99.9940182376353, hi=1e-15, points=14, same_ends=False)
+    @example(lo=1.3042583637612347e-08, hi=2.3864599441572465, points=102, same_ends=False)
     def test_grid_follows_numpy_geomspace(self, lo, hi, points, same_ends):
-        # numpy runs log10 and power through SIMD kernels on some CPUs, so the
-        # match is not bit-exact: the worst case measured was 36 ulp.
+        # numpy.geomspace's steps, with the logs taken by math.log10: numpy's
+        # SIMD log10 can differ from libm's by 1 ulp, which the power step
+        # amplifies to tens of ulps (73 against np.geomspace at the second
+        # example). Given the same logs, only the power may round differently.
         hi = lo if same_ends else hi
         grid = _geomspace(lo, hi, points)
         assert len(grid) == points
         assert grid[0] == lo and grid[-1] == (hi if points > 1 else lo)
-        for got, expected in zip(grid, np.geomspace(lo, hi, points).tolist()):
-            assert abs(got - expected) <= 64 * math.ulp(expected)
+        expected = np.power(10.0, np.linspace(math.log10(lo), math.log10(hi), points))
+        expected[0] = lo
+        expected[-1] = hi if points > 1 else lo
+        for got, want in zip(grid, expected.tolist()):
+            assert abs(got - want) <= 2 * math.ulp(want)
 
     @pytest.mark.parametrize(
         ("sweep", "lo", "hi", "budget"),
@@ -271,6 +278,71 @@ SWEEP_TABLE_SHA256 = [
 def test_sweep_tables_are_pinned(runner, tmp_path, argv, sha256):
     out = tmp_path / "table.csv"
     assert runner.invoke(main, [*argv, "--out", str(out)]).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def _pinned_rows(spread: bool) -> list[tuple[str, str]]:
+    """3,000 users on 55 partitions, every fifth user's row twice, in a fixed scrambled order.
+
+    Partition ``p<h>`` holds the users u with isqrt(u) = h, so the counts
+    run from 1 to 107; every seventh key has a comma in it. With ``spread``,
+    every third user also touches one to four neighbouring partitions.
+    """
+    rows = []
+    for u in range(3000):
+        home = math.isqrt(u)
+        key = f"p{home}" if home % 7 else f"p{home},x"
+        rows.append((f"u{u}", key))
+        if u % 5 == 0:
+            rows.append((f"u{u}", key))
+        if spread and u % 3 == 0:
+            rows += [(f"u{u}", f"p{(home + j) % 55}") for j in range(1, 2 + u % 5)]
+    order = sorted(range(len(rows)), key=lambda i: hashlib.sha256(b"%d" % i).digest())
+    return [rows[i] for i in order]
+
+
+# sha256 of select's output in each mode. kappa 2 and 3 under first-wins
+# drop 2,000 and 1,200 of the spread input's 6,600 rows; 600 rows repeat a pair.
+SELECT_OUTPUT_SHA256 = [
+    pytest.param(
+        False, ["--mode", "select"],
+        "12c23969007392238285b89cb3b1fba4c976a42360f56713cfee839abc532910",
+        id="select-strict-kappa1",
+    ),
+    pytest.param(
+        True, ["--mode", "release-counts", "--kappa", "2", "--conflict", "first-wins"],
+        "491518b9ec1342e0075d08bd70bf941a019942d8976cec22ccf97e25d7e3d72b",
+        id="release-counts-first-wins-kappa2",
+    ),
+    pytest.param(
+        True, ["--mode", "dual", "--kappa", "3", "--conflict", "first-wins",
+               "--public-file", "{public}", "--public-threshold", "0"],
+        "e5acd9c872f39d4f4a0049b0265c602e9bf1656a419addeed9ef14ab2f3d561a",
+        id="dual-first-wins-kappa3",
+    ),
+]
+
+
+@pytest.mark.parametrize(("spread", "argv", "sha256"), SELECT_OUTPUT_SHA256)
+def test_select_outputs_are_pinned(runner, tmp_path, spread, argv, sha256):
+    data = tmp_path / "rows.csv"
+    with open(data, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["user_id", "partition"])
+        writer.writerows(_pinned_rows(spread))
+    public = tmp_path / "public.txt"
+    public.write_text(
+        "".join(f"p{i}\n" for i in range(0, 60, 3)) + "".join(f"absent{i}\n" for i in range(30)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = [arg.format(public=public) for arg in argv]
+    result = runner.invoke(
+        main,
+        ["select", "--input", str(data), *argv, "--epsilon", "1", "--delta", "1e-5",
+         "--seed", "5", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
@@ -472,6 +544,21 @@ class TestUsageErrors:
         result = runner.invoke(main, ["select", *argv])
         assert result.exit_code == 2
         assert named in result.output
+
+    @pytest.mark.parametrize("command", ["select", "midpoints"])
+    @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.txt"], ids=["directory", "missing-parent"])
+    def test_unopenable_out_exits_2_before_any_work(self, runner, tmp_path, command, out):
+        data = tmp_path / "rows.csv"
+        # This input breaks strict mode (exit 3) once ingested.
+        _write_input(data, [("u1", "a"), ("u1", "b")])
+        argv = {
+            "select": ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5"],
+            "midpoints": ["midpoints", "--sweep", "eps", "--points", "3"],
+        }[command]
+        result = runner.invoke(main, [*argv, "--out", out.format(tmp=tmp_path)])
+        assert result.exit_code == 2
+        assert "argument --out" in result.output
+        assert not (tmp_path / "missing").exists()
 
     def test_conflict_choices_are_the_ingest_modes(self):
         assert _CONFLICT_MODES == tuple(m.value for m in IngestMode)

@@ -123,6 +123,74 @@ class TestCsvReader:
             list(read_rows(io.TextIOWrapper(raw, encoding="utf-8", newline="")))
 
 
+# CSV inputs for the path that ingest reads straight from the csv reader. A
+# strict violation comes after any malformed row or undecodable byte here,
+# so that reading the rows first raises the same error.
+CSV_INPUTS = {
+    "header-only": b"user_id,partition\n",
+    "empty-file": b"",
+    "wrong-header": b"uid,part\nu1,a\n",
+    "blank-lines": b"user_id,partition\n\nu1,a\n\n\nu2,a\nu1,b\nu3,c\n\nu1,c\n\n",
+    "crlf": b"user_id,partition\r\nu1,a\r\nu2,b\r\nu1,a\r\nu2,c\r\n",
+    "lone-cr": b"user_id,partition\ru1,a\ru2,b\ru2,a\r",
+    "quoted": b'user_id,partition\nu1,"a,b"\nu2,"say ""hi"""\nu3,"two\nlines"\nu1,"a,b"\nu1,"say ""hi"""\n',
+    "one-field": b"user_id,partition\nu1,a\nu2\nu1,b\n",
+    "three-fields": b"user_id,partition\nu1,a\nu2,b,c\n",
+    "empty-field": b"user_id,partition\nu1,a\n,b\n",
+    "unterminated-quote": b'user_id,partition\nu1,a\nu2,"open\n',
+    "quote-then-text": b'user_id,partition\nu1,a\nu2,"a"b\n',
+    # Python 3.10's csv rejects NUL; 3.11 reads it as data.
+    "nul": b"user_id,partition\nu1,a\x00b\nu2,c\nu1,c\n",
+    "long-field": b"user_id,partition\nu1,a\nu2," + b"x" * 131_073 + b"\n",
+    "not-utf8": b"user_id,partition\nu1,a\nu2,\xff\n",
+}
+
+
+def _csv_source(tmp_path, data: bytes, kind: str):
+    if kind == "path":
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        return path
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _ingest_outcome(rows, mode: IngestMode, kappa: int):
+    """The counts ``ingest`` returns for ``rows()``, or the type and message of what is raised."""
+    try:
+        return ingest(rows(), mode=mode, max_partitions_per_user=kappa).counts()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCsvIngest:
+    """ingest(read_rows(src)) reads the CSV in one pass; it must agree with the rows read first."""
+
+    @pytest.mark.parametrize("kind", ["path", "stream"])
+    @pytest.mark.parametrize("mode", list(IngestMode))
+    @pytest.mark.parametrize("kappa", [1, 2])
+    @pytest.mark.parametrize("name", CSV_INPUTS)
+    def test_csv_path_equals_list_path(self, tmp_path, name, kappa, mode, kind):
+        data = CSV_INPUTS[name]
+        fused = _ingest_outcome(lambda: read_rows(_csv_source(tmp_path, data, kind)), mode, kappa)
+        listed = _ingest_outcome(lambda: list(read_rows(_csv_source(tmp_path, data, kind))), mode, kappa)
+        assert fused == listed
+
+    @pytest.mark.parametrize("kind", ["path", "stream"])
+    @pytest.mark.parametrize("later", [b"u9", b"u9,\xff"], ids=["malformed-row", "non-utf8"])
+    def test_strict_violation_on_an_earlier_line_wins(self, tmp_path, kind, later):
+        # Line 5000 lies past the first chunk the text layer decodes.
+        lines = [b"user_id,partition", b"u1,a", b"u1,b", *(b"u%d,p" % i for i in range(4, 5000)), later]
+        source = _csv_source(tmp_path, b"\n".join(lines) + b"\n", kind)
+        with pytest.raises(StrictViolationError, match="u1"):
+            ingest(read_rows(source))
+
+    def test_path_rows_can_be_read_again(self, tmp_path):
+        rows = read_rows(_csv_source(tmp_path, CSV_INPUTS["quoted"], "path"))
+        assert list(rows) == list(rows) == [
+            ("u1", "a,b"), ("u2", 'say "hi"'), ("u3", "two\nlines"), ("u1", "a,b"), ("u1", 'say "hi"'),
+        ]
+
+
 class TestSelect:
     def test_saturated_partition_always_kept_absent_never(self):
         prim = OptPrimitive.from_params(PARAMS)
