@@ -266,9 +266,9 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
     The noise covers ``kappa`` simultaneous unit count changes (L2 sensitivity
     sqrt(kappa)); the threshold is placed so the chance that any of the kappa
     noised empty counts clears it stays within the thresholding share of
-    delta. The split is found by golden-section search over the log split
-    fraction; the objective is empirically unimodal. All 67 calibrations of
-    the search share one memoized privacy profile.
+    delta. Calibrations at noise shares 1 - 1e-9 and 1e-9 bracket a
+    golden-section search over log sigma (the objective is empirically
+    unimodal) whose steps read ``delta_noise`` off the privacy profile.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if not eps > 0.0:
@@ -285,17 +285,18 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
 
     ndtri = NormalDist().inv_cdf
 
-    def split(log_fraction: float) -> tuple[float, float, float, float]:
-        """delta_noise, delta_threshold, sigma and threshold at this log split fraction."""
-        delta_noise = math.exp(log_fraction) * delta
+    def split(log_sigma: float) -> tuple[float, float, float, float]:
+        """delta_noise, delta_threshold, sigma and threshold at this log sigma."""
+        sigma = math.exp(log_sigma)
+        delta_noise = math.exp(profile(sigma))
         delta_threshold = delta - delta_noise
-        sigma = _solve_sigma(profile, sensitivity, delta_noise, _SIGMA_TOL)
         # per-count tail bound: 1 - (1 - delta_threshold)^(1/kappa)
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
         return delta_noise, delta_threshold, sigma, 1.0 + sigma * -ndtri(tail)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(1e-9), math.log1p(-1e-9)
+    a = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9), _SIGMA_TOL))
+    b = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9, _SIGMA_TOL))
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1 = split(c1)[3]
@@ -341,7 +342,9 @@ def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = No
     lo, hi = 1, hard
     if upper is None:
         hi = 2
-        while hi < hard and pi(hi) < q:
+        while pi(hi) < q:  # doubling lands on the bound 2^62 and checks it
+            if hi == hard:
+                raise ValueError(f"pi never reaches {q} within the search bound {hard}")
             lo, hi = hi, hi * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -138,8 +138,8 @@ def _line_error(reader) -> InputFormatError:
 class _CsvRows:
     """The rows of a ``user_id,partition`` CSV, as (user_id, partition) tuples.
 
-    Each iteration reads the source again: a path from its start, a stream
-    from where it stands.
+    Each iteration reads a path again from its start; a stream is read once,
+    and a second iteration raises :class:`InputFormatError`.
     """
 
     __slots__ = ("_source",)
@@ -163,7 +163,11 @@ class _CsvRows:
         :class:`InputFormatError` naming the line.
         """
         source = self._source
+        if source is None:
+            raise InputFormatError("the input stream was already read; a stream can be read once")
         is_path = isinstance(source, (str, os.PathLike))
+        if not is_path:
+            self._source = None  # a stream is read once
         with open(source, newline="", encoding="utf-8") if is_path else contextlib.nullcontext(source) as f:
             reader = csv.reader(f, strict=True)
             try:
@@ -184,8 +188,8 @@ class _CsvRows:
 def read_rows(source: str | os.PathLike | TextIO) -> Iterable[tuple[str, str]]:
     """Rows from a ``user_id,partition`` CSV (RFC 4180, UTF-8, header required).
 
-    The result reads the source each time it is iterated: again from the
-    start for a path, once for a stream. :func:`ingest` reads it in one pass.
+    The result reads a path again from its start each time it is iterated,
+    and a stream once. :func:`ingest` reads it in one pass.
     """
     return _CsvRows(source)
 

@@ -123,14 +123,80 @@ class TestGaussian:
 
     @pytest.mark.parametrize("kappa", range(1, 8))
     def test_primitive_evaluates_each_sigma_once(self, kappa):
-        # Its 67 calibrations share one memoized profile: the bracket points
-        # sqrt(kappa) * 2^j recur in each of them.
+        # Its two calibrations and its search share one memoized profile: the
+        # bracket points sqrt(kappa) * 2^j recur in both calibrations.
         with mock.patch.object(
             baselines, "_log_delta_gaussian", wraps=baselines._log_delta_gaussian
         ) as profile:
             gaussian_primitive(PrivacyParams(1.0, 1e-5), kappa)
         sigmas = [c.args[0] for c in profile.call_args_list]
         assert sigmas and len(set(sigmas)) == len(sigmas)
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    def test_primitive_noise_delta_is_the_profile_at_its_sigma(self, budget_grid, kappa):
+        # The noise share is read off the privacy profile at the returned
+        # sigma, not solved for, so the mechanism spends exactly what it
+        # stores, and the two shares stay within delta.
+        for params in budget_grid:
+            prim = gaussian_primitive(params, kappa)
+            realised = math.exp(_log_delta_gaussian(prim.sigma, prim.epsilon, math.sqrt(kappa)))
+            assert prim.delta_noise == realised
+            assert prim.delta_noise + prim.delta_threshold <= params.effective_delta
+
+    def test_primitive_matches_split_space_search(self):
+        # The search over log sigma is the search over the log split fraction
+        # under a monotone change of variable: same threshold to 1e-11
+        # relative, same midpoint, over eps 0.01-10, delta 1e-30-0.1, kappa 1-10.
+        ndtri = NormalDist().inv_cdf
+
+        def split_space_primitive(params, kappa):
+            eps, delta = params.effective_epsilon, params.effective_delta
+            sensitivity = math.sqrt(kappa)
+
+            def split(log_fraction):
+                delta_noise = math.exp(log_fraction) * delta
+                delta_threshold = delta - delta_noise
+                sigma = calibrate_gaussian_sigma(eps, delta_noise, sensitivity)
+                tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
+                return delta_noise, delta_threshold, sigma, 1.0 + sigma * -ndtri(tail)
+
+            invphi = (math.sqrt(5.0) - 1.0) / 2.0
+            a, b = math.log(1e-9), math.log1p(-1e-9)
+            c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
+            f1, f2 = split(c1)[3], split(c2)[3]
+            for _ in range(64):
+                if f1 <= f2:
+                    b, c2, f2 = c2, c1, f1
+                    c1 = b - invphi * (b - a)
+                    f1 = split(c1)[3]
+                else:
+                    a, c1, f1 = c1, c2, f2
+                    c2 = a + invphi * (b - a)
+                    f2 = split(c2)[3]
+            return baselines.GaussianPrimitive(eps, *split((a + b) / 2.0), kappa)
+
+        def gauss_midpoint(prim):
+            upper = math.ceil(prim.threshold) + math.ceil(64.0 / prim.epsilon)
+            return midpoint(lambda n: pi_gaussian(prim, n), upper=upper)
+
+        for eps in np.geomspace(0.01, 10.0, 7):
+            for delta in (1e-30, 1e-20, 1e-12, 1e-8, 1e-4, 0.1):
+                params = PrivacyParams(float(eps), delta)
+                for kappa in (1, 2, 3, 4, 5, 7, 8, 10):
+                    prim = gaussian_primitive(params, kappa)
+                    oracle = split_space_primitive(params, kappa)
+                    assert prim.threshold == pytest.approx(oracle.threshold, rel=1e-11, abs=0.0)
+                    assert gauss_midpoint(prim) == gauss_midpoint(oracle)
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    def test_primitive_takes_one_profile_evaluation_per_step(self, kappa):
+        # Two calibrations bracket the search, then each of its 66 steps
+        # evaluates the profile once: about 83 evaluations, not about 408.
+        with mock.patch.object(
+            baselines, "_log_delta_gaussian", wraps=baselines._log_delta_gaussian
+        ) as profile:
+            gaussian_primitive(PrivacyParams(1.0, 1e-5), kappa)
+        assert profile.call_count <= 100
 
     def test_curve_values(self):
         prim = gaussian_primitive(PrivacyParams(1.0, 1e-5), 1)
@@ -307,6 +373,15 @@ class TestSummaries:
     def test_unreachable_quantile_raises(self):
         with pytest.raises(ValueError):
             percentile_n(lambda n: 0.3, 0.9, upper=128)
+
+    def test_unreachable_quantile_without_upper_stops_at_the_bound(self):
+        # The doubling reaches the bound 2^62 and checks it before bisecting:
+        # pi(1), 61 doublings and the bound, 63 evaluations in all.
+        counted = []
+        pi = lambda n: counted.append(n) or 0.3
+        with pytest.raises(ValueError, match=re.escape(f"within the search bound {2**62}") + "$"):
+            percentile_n(pi, 0.9)
+        assert len(counted) == 63
 
     @settings(max_examples=300, deadline=None)
     @given(

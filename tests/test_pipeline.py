@@ -190,6 +190,15 @@ class TestCsvIngest:
             ("u1", "a,b"), ("u2", 'say "hi"'), ("u3", "two\nlines"), ("u1", "a,b"), ("u1", 'say "hi"'),
         ]
 
+    def test_stream_rows_read_again_say_so(self):
+        rows = read_rows(io.StringIO("user_id,partition\nu1,a\n", newline=""))
+        assert list(rows) == [("u1", "a")]
+        for read_again in (list, ingest):
+            with pytest.raises(InputFormatError, match="^the input stream was already read"):
+                read_again(rows)
+        with pytest.raises(InputFormatError, match="^line 1: missing header"):
+            list(read_rows(io.StringIO("", newline="")))
+
 
 class TestSelect:
     def test_saturated_partition_always_kept_absent_never(self):
