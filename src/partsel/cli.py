@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, Iterator, TextIO
 
-from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
+from .params import ConfigurationError, InputFormatError, Neighboring, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, pi_opt
 
 # The values of pipeline.IngestMode, spelled out so that parsing the command
@@ -216,6 +216,15 @@ def select(
         max_partitions_per_user=kappa,
     )
     if mode == "select":
+        # One key per line cannot hold a key with a line break. Checking every
+        # present key, not only the kept ones, keeps the exit status a
+        # function of the input alone.
+        for key in hist.keys():
+            if "\n" in key or "\r" in key:
+                raise InputFormatError(
+                    f"partition key {key!r} contains a line break, which select mode's "
+                    "one-key-per-line output cannot hold; --mode release-counts writes it as CSV"
+                )
         prim = OptPrimitive.from_params(params)
         kept = pipeline.select_partitions(hist, prim, seed)
         with _output(out) as f:

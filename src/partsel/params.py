@@ -68,4 +68,20 @@ class PrivacyParams:
         """Budget left per partition when one user may touch ``kappa`` of them."""
         if not is_int(kappa) or kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
-        return PrivacyParams(self.epsilon / kappa, self.delta / kappa, self.neighboring)
+        return PrivacyParams(_share(self.epsilon, kappa), _share(self.delta, kappa), self.neighboring)
+
+
+def _share(x: float, kappa: int) -> float:
+    """The largest float near ``x / kappa`` whose ``kappa`` copies add up to at most ``x``.
+
+    ``x / kappa`` is rounded to nearest and can lie one ulp above the exact
+    quotient, which would overspend the budget; it is rounded down until the
+    exact rational sum ``kappa * share <= x`` holds.
+    """
+    share = x / kappa
+    x_num, x_den = x.as_integer_ratio()
+    while True:
+        num, den = share.as_integer_ratio()
+        if kappa * num * x_den <= x_num * den:
+            return share
+        share = math.nextafter(share, 0.0)

@@ -6,10 +6,11 @@ partition key's BLAKE2b-64 digest (the key's UTF-8 bytes, keyed by the seed
 as 8 little-endian bytes and personalised by the mode: ``select``,
 ``release`` or ``dual``). A decision therefore depends only on the seed, the
 mode, the key and its count, never on row order, shard layout or the other
-keys. Keys are decided in plain Python on exact integers: each uniform is
-compared with one integer per distinct count (the keep threshold, or in the
-count modes the least uniform whose noise clears the bound), and only the
-released keys have their noise inverted from the integer CDF bounds.
+keys. Keys are decided in plain Python on exact integers, each in the pass
+that makes its digest: the digest is compared with one integer per distinct
+count (the keep threshold, or in the count modes the least uniform whose
+noise clears the bound). Only the released keys are kept, and only they have
+their noise inverted from the integer CDF bounds.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import enum
 import hashlib
 import itertools
 import os
-import sys
-from array import array
 from collections import Counter
-from typing import Collection, Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
 from .primitive import OptPrimitive, keep_threshold
@@ -227,38 +226,34 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _digests(seed: int, purpose: bytes, keys: Iterable[str]) -> array:
-    """Each key's keyed BLAKE2b-64 digest, read as a little-endian 64-bit integer.
+def _mac(seed: int, purpose: bytes):
+    """The keyed BLAKE2b-64 state that each key's digest is copied from.
 
-    Its top 53 bits are the key's uniform integer ``u``, so a digest compared
-    with ``t << 11`` is ``u`` compared with ``t``, without a shift per key.
+    A digest read as a little-endian 64-bit integer has the key's uniform ``u``
+    in its top 53 bits, so comparing it with ``t << 11`` compares ``u`` with ``t``.
     """
-    mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
-    digests = []
-    for key in keys:
-        h = mac.copy()
-        h.update(key.encode("utf-8"))
-        digests.append(h.digest())
-    words = array("Q", b"".join(digests))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
 
 
 def _noisy_above(
-    noise: TsgdParams,
-    keys: Collection[str],
-    ns: Collection[int],
-    bound: int,
-    seed: int,
-    purpose: bytes,
+    noise: TsgdParams, pairs: Iterable[tuple[str, int]], bound: int, seed: int, purpose: bytes
 ) -> dict[str, int]:
-    """Key to noisy count, for each key whose count, noised from its uniform, exceeds ``bound``."""
+    """Key to noisy count of each (key, count) pair whose noised count exceeds ``bound``."""
     # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
-    # comparison per key, and only the released keys are inverted.
-    cutoffs = {n: tsgd_cutoff(noise, bound - n + 1) << 11 for n in set(ns)}
-    words = _digests(seed, purpose, keys)
-    hits = [(key, n, word >> 11) for key, n, word in zip(keys, ns, words) if word >= cutoffs[n]]
+    # comparison per key, and only the released keys are kept and inverted.
+    cutoffs: dict[int, int] = {}
+    copy, from_bytes = _mac(seed, purpose).copy, int.from_bytes
+    hits = []
+    for key, n in pairs:
+        try:
+            cutoff = cutoffs[n]
+        except KeyError:
+            cutoff = cutoffs[n] = tsgd_cutoff(noise, bound - n + 1) << 11
+        h = copy()
+        h.update(key.encode("utf-8"))
+        word = from_bytes(h.digest(), "little")
+        if word >= cutoff:
+            hits.append((key, n, word >> 11))
     shifts = tsgd_inverse(noise, [u for _, _, u in hits])
     return {key: n + x for (key, n, _), x in zip(hits, shifts)}
 
@@ -272,8 +267,14 @@ def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -
     _check_seed(seed)
     counts = hist._counts
     thresholds = {n: keep_threshold(prim, n) << 11 for n in set(counts.values())}
-    words = _digests(seed, b"select", counts)
-    return {key for (key, n), word in zip(counts.items(), words) if word < thresholds[n]}
+    copy, from_bytes = _mac(seed, b"select").copy, int.from_bytes
+    kept = []
+    for key, n in counts.items():
+        h = copy()
+        h.update(key.encode("utf-8"))
+        if from_bytes(h.digest(), "little") < thresholds[n]:
+            kept.append(key)
+    return set(kept)
 
 
 def thresholded_release(
@@ -282,8 +283,7 @@ def thresholded_release(
     """Noise every present count; release key and noisy count when it exceeds k."""
     _check_seed(seed)
     noise = tsgd_params(params)
-    counts = hist._counts
-    return _noisy_above(noise, counts, counts.values(), noise.k, seed, b"release")
+    return _noisy_above(noise, hist._counts.items(), noise.k, seed, b"release")
 
 
 def dual_threshold_release(
@@ -312,13 +312,11 @@ def dual_threshold_release(
         if not isinstance(key, str) or not key:
             raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
     counts = hist._counts
-    private = [key for key in counts if key not in public]
-    private_ns = [counts[key] for key in private]
-    public_list = list(public)
-    public_ns = [counts.get(key, 0) for key in public_list]
+    private = ((key, n) for key, n in counts.items() if key not in public)
     # The private and public keys are disjoint, so one dict holds both releases.
-    released = _noisy_above(noise, private, private_ns, noise.k, seed, b"dual")
-    released.update(_noisy_above(noise, public_list, public_ns, public_threshold, seed, b"dual"))
+    released = _noisy_above(noise, private, noise.k, seed, b"dual")
+    public_ns = ((key, counts.get(key, 0)) for key in public)
+    released.update(_noisy_above(noise, public_ns, public_threshold, seed, b"dual"))
     return released
 
 

@@ -419,6 +419,31 @@ class TestSelect:
         )
         assert result.exit_code == 0
 
+    def test_select_rejects_keys_with_line_breaks(self, runner, tmp_path):
+        # 40 users put each key past every threshold at (5, 0.1), so it would be kept.
+        data = tmp_path / "rows.csv"
+        out = tmp_path / "keys.txt"
+        common = ["select", "--input", str(data), "--epsilon", "5", "--delta", "0.1"]
+        for key in ("a\nb", "a\r\nb", "a\rb"):
+            rows = "".join(f'u{i},"{key}"\n' for i in range(40))
+            data.write_text("user_id,partition\n" + rows, encoding="utf-8", newline="")
+            result = runner.invoke(main, [*common, "--out", str(out)])
+            assert result.exit_code == 2
+            assert "line break" in result.output
+            assert not out.exists()
+        # The count modes accept such keys; an LF key is written as a quoted CSV field.
+        data.write_text(
+            "user_id,partition\n" + "".join(f'u{i},"a\nb"\n' for i in range(40)),
+            encoding="utf-8",
+            newline="",
+        )
+        counts = tmp_path / "counts.csv"
+        result = runner.invoke(main, [*common, "--mode", "release-counts", "--out", str(counts)])
+        assert result.exit_code == 0
+        with open(counts, newline="", encoding="utf-8") as f:
+            (row,) = csv.DictReader(f)
+        assert row["partition"] == "a\nb"
+
     def test_malformed_input_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         for body, line in (

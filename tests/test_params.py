@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +43,27 @@ def test_split_divides_both_parameters():
     assert third.delta == pytest.approx(1e-4 / 3.0)
     assert third.neighboring is Neighboring.REPLACE
     assert params.split(1) == params
+
+
+@pytest.mark.parametrize("x", [1e-5, 1.0])
+@pytest.mark.parametrize("kappa", [3, 5])
+def test_split_never_overspends(x, kappa):
+    # 1e-5 / 3, 1e-5 / 5 and 1.0 / 5 round up, so kappa of them add up to more than x;
+    # 1.0 / 3 rounds down.
+    share = PrivacyParams(x, x).split(kappa)
+    for part in (share.epsilon, share.delta):
+        assert kappa * Fraction(part) <= Fraction(x)
+        assert math.isclose(part, x / kappa, rel_tol=1e-15)
+
+
+def test_split_never_overspends_random_budgets():
+    rng = random.Random(4)
+    for _ in range(2000):
+        x = rng.random() * 10.0 ** rng.randint(-15, 1)
+        kappa = rng.randint(2, 12)
+        part = PrivacyParams(x, min(x, 1.0)).split(kappa).epsilon
+        assert kappa * Fraction(part) <= Fraction(x)
+        assert part == x / kappa or math.nextafter(part, math.inf) == x / kappa
 
 
 def test_split_validation():

@@ -1,8 +1,8 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from collections import Counter
-from typing import Iterable
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from partsel import (
     write_release,
     write_selection,
 )
-from partsel.pipeline import _digests
 from partsel.primitive import keep_threshold
 from partsel.truncated_geometric import delta_for_exact_threshold, tsgd_inverse, tsgd_tail
 
@@ -336,49 +335,65 @@ def _plain_uniform(seed: int, purpose: bytes, key: str) -> int:
     return int.from_bytes(mac.digest(), "little") >> 11
 
 
-def _uniforms(seed: int, purpose: bytes, keys: Iterable[str]) -> list[int]:
-    """Each key's 53-bit uniform integer: the top bits of the digest the release functions read."""
-    return [word >> 11 for word in _digests(seed, purpose, keys)]
-
-
 class TestPerKeyDecisions:
-    def test_uniforms_match_plain_keyed_digest(self):
-        keys = ["a", "p000017", "Zürich", "東京", "🙂 key", "x" * 300]
-        for seed, purpose in ((0, b"select"), (12345, b"release"), (2**64 - 1, b"dual")):
-            expected = [_plain_uniform(seed, purpose, key) for key in keys]
-            assert _uniforms(seed, purpose, keys) == expected
-
     def test_decisions_follow_the_plain_per_key_rule(self):
-        # Each key decided on its own uniform u: kept when u < T(n); noised to
-        # n + tsgd_inverse(u) and released above its bound. The release
-        # functions compare digests with shifted thresholds and invert only the
-        # released keys; they must agree with this rule on every key.
+        # Each key decided on its own uniform u, the top 53 bits of its plain
+        # keyed digest: kept when u < T(n); noised to n + tsgd_inverse(u) and
+        # released above its bound. The release functions compare digests with
+        # shifted thresholds and invert only the released keys; they must agree
+        # with this rule on every key, whatever its characters and length.
         params = PrivacyParams(1.0, 0.05)
         prim = OptPrimitive.from_params(params)
         noise = tsgd_params(params)
-        counts = {f"p{i:04d}": 1 + i % (2 * noise.k + 3) for i in range(3000)}
+        keys = [f"p{i:04d}" for i in range(3000)] + ["a", "Zürich", "東京", "🙂 key", "x" * 300]
+        counts = {key: 1 + i % (2 * noise.k + 3) for i, key in enumerate(keys)}
         hist = PartitionHistogram.from_counts(counts)
-        public = {f"p{i:04d}" for i in range(0, 3000, 3)} | {f"ghost{i}" for i in range(600)}
-        seed = 11
+        public = set(keys[::3]) | {f"ghost{i}" for i in range(600)} | {"Genève", "🙃" * 80}
 
-        def noisy(purpose: bytes, keys: list[str]) -> dict[str, int]:
-            shifts = tsgd_inverse(noise, _uniforms(seed, purpose, keys))
-            return {key: counts.get(key, 0) + x for key, x in zip(keys, shifts)}
+        for seed in (0, 11, 12345, 2**64 - 1):
 
-        uniforms = dict(zip(counts, _uniforms(seed, b"select", counts)))
-        kept = {key for key, n in counts.items() if uniforms[key] < keep_threshold(prim, n)}
-        assert select_partitions(hist, prim, seed) == kept
-        assert 0 < len(kept) < len(counts)
+            def noisy(purpose: bytes, keys: list[str]) -> dict[str, int]:
+                shifts = tsgd_inverse(noise, [_plain_uniform(seed, purpose, key) for key in keys])
+                return {key: counts.get(key, 0) + x for key, x in zip(keys, shifts)}
 
-        release = noisy(b"release", list(counts))
-        expected = {key: m for key, m in release.items() if m > noise.k}
-        assert thresholded_release(hist, params, seed) == expected
+            kept = {
+                key
+                for key, n in counts.items()
+                if _plain_uniform(seed, b"select", key) < keep_threshold(prim, n)
+            }
+            assert select_partitions(hist, prim, seed) == kept
+            assert 0 < len(kept) < len(counts)
 
-        dual = noisy(b"dual", sorted(set(counts) | public))
-        for threshold in (-noise.k, 0, noise.k):
-            bound = {key: threshold if key in public else noise.k for key in dual}
-            expected = {key: m for key, m in dual.items() if m > bound[key]}
-            assert dual_threshold_release(hist, public, params, threshold, seed) == expected
+            release = noisy(b"release", keys)
+            expected = {key: m for key, m in release.items() if m > noise.k}
+            assert thresholded_release(hist, params, seed) == expected
+
+            dual = noisy(b"dual", sorted(set(counts) | public))
+            for threshold in (-noise.k, 0, noise.k):
+                bound = {key: threshold if key in public else noise.k for key in dual}
+                expected = {key: m for key, m in dual.items() if m > bound[key]}
+                assert dual_threshold_release(hist, public, params, threshold, seed) == expected
+
+    def test_decision_memory_grows_with_the_released_keys_not_all_keys(self):
+        # 100k keys of one or two users, almost none of which clears a threshold
+        # at (1, 1e-5): a decision that held a digest per key would peak past 10 MB.
+        counts = {f"k{i:06d}": 1 + i % 2 for i in range(100_000)}
+        hist = PartitionHistogram.from_counts(counts)
+        prim = OptPrimitive.from_params(PARAMS)
+        public = list(counts)[:100] + ["ghost"]
+        for decide in (
+            lambda: select_partitions(hist, prim, 5),
+            lambda: thresholded_release(hist, PARAMS, 5),
+            lambda: dual_threshold_release(hist, public, PARAMS, 0, 5),
+        ):
+            tracemalloc.start()
+            try:
+                released = decide()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(released) < 200
+            assert peak < 2 * 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(
