@@ -125,6 +125,78 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
+_FMIN_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's constant, a little below sqrt(sys.float_info.epsilon)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
+    """Minimiser of ``f`` on [a, b] by Brent's bounded method.
+
+    A step-for-step port of scipy's ``_minimize_scalar_bounded``, so it
+    returns the ``x`` of ``scipy.optimize.minimize_scalar(f, bounds=(a, b),
+    method="bounded", options={"xatol": xatol})`` bit for bit. Like scipy it
+    stops after 500 evaluations and returns the best point found.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMIN_MAXFUN:
+            break
+    return xf
+
+
 @dataclass(frozen=True)
 class LaplacePrimitive:
     """Keep a partition when its Laplace-noised count clears a fixed threshold."""
@@ -266,9 +338,9 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
     The noise covers ``kappa`` simultaneous unit count changes (L2 sensitivity
     sqrt(kappa)); the threshold is placed so the chance that any of the kappa
     noised empty counts clears it stays within the thresholding share of
-    delta. Calibrations at noise shares 1 - 1e-9 and 1e-9 bracket a
-    golden-section search over log sigma (the objective is empirically
-    unimodal) whose steps read ``delta_noise`` off the privacy profile.
+    delta. Calibrations at noise shares 1 - 1e-9 and 1e-9 bracket Brent's
+    bounded minimisation over log sigma (the objective is empirically
+    unimodal), whose steps read ``delta_noise`` off the privacy profile.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if not eps > 0.0:
@@ -294,23 +366,10 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
         return delta_noise, delta_threshold, sigma, 1.0 + sigma * -ndtri(tail)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9), _SIGMA_TOL))
-    b = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9, _SIGMA_TOL))
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = split(c1)[3]
-    f2 = split(c2)[3]
-    for _ in range(64):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = split(c1)[3]
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = split(c2)[3]
-    return GaussianPrimitive(eps, *split((a + b) / 2.0), kappa)
+    lo = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9), _SIGMA_TOL))
+    hi = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9, _SIGMA_TOL))
+    log_sigma = _fminbound(lambda s: split(s)[3], lo, hi, xatol=1e-10)
+    return GaussianPrimitive(eps, *split(log_sigma), kappa)
 
 
 def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
@@ -325,23 +384,24 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
 def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:
     """Smallest count n >= 1 with pi(n) >= q, for nondecreasing pi.
 
-    With ``upper`` the search bisects [1, upper] directly, and raises
-    ``ValueError`` when pi(upper) < q; ``upper`` bounds the search for
-    primitives that approach 1 only asymptotically. Without it the search
-    doubles from 1 until it brackets the answer, then bisects. For a
-    nondecreasing pi the least such n is unique, so both find the same count.
+    With ``upper`` the search bisects (0, upper] directly, in at most
+    ceil(log2(upper)) + 1 evaluations, and raises ``ValueError`` when
+    pi(upper) < q; ``upper`` bounds the search for primitives that approach 1
+    only asymptotically. Without it the search checks 1, then doubles until
+    it brackets the answer, then bisects. For a nondecreasing pi the least
+    such n is unique, so both find the same count.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     hard = int(upper) if upper is not None else 2**62
     if hard < 1:
         raise ValueError(f"upper must be >= 1, got {upper}")
-    if pi(1) >= q:
-        return 1
-    # Invariant: pi(lo) < q, and the answer, if any, lies in (lo, hi].
-    lo, hi = 1, hard
+    # Invariant: the answer, if any, lies in (lo, hi], and pi(lo) < q when lo >= 1.
+    lo, hi = 0, hard
     if upper is None:
-        hi = 2
+        if pi(1) >= q:
+            return 1
+        lo, hi = 1, 2
         while pi(hi) < q:  # doubling lands on the bound 2^62 and checks it
             if hi == hard:
                 raise ValueError(f"pi never reaches {q} within the search bound {hard}")

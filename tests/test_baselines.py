@@ -23,7 +23,7 @@ from partsel import (
     pi_opt,
 )
 from partsel import baselines
-from partsel.baselines import _brentq, _log_delta_gaussian, _log_ndtr, _ndtr
+from partsel.baselines import _brentq, _fminbound, _log_delta_gaussian, _log_ndtr, _ndtr
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 LAP_T_EPS1_DELTA1E5 = 11.819778284410283
@@ -190,13 +190,14 @@ class TestGaussian:
 
     @pytest.mark.parametrize("kappa", range(1, 8))
     def test_primitive_takes_one_profile_evaluation_per_step(self, kappa):
-        # Two calibrations bracket the search, then each of its 66 steps
-        # evaluates the profile once: about 83 evaluations, not about 408.
+        # Two calibrations bracket the search, then each step of Brent's
+        # minimiser evaluates the profile once: 30-34 evaluations in all,
+        # against 83-84 with 66 golden-section steps.
         with mock.patch.object(
             baselines, "_log_delta_gaussian", wraps=baselines._log_delta_gaussian
         ) as profile:
             gaussian_primitive(PrivacyParams(1.0, 1e-5), kappa)
-        assert profile.call_count <= 100
+        assert profile.call_count <= 40
 
     def test_curve_values(self):
         prim = gaussian_primitive(PrivacyParams(1.0, 1e-5), 1)
@@ -218,10 +219,10 @@ class TestGaussian:
 
 class TestScipyOracle:
     """The Gaussian baseline runs on ports of scipy.special's ``log_ndtr``,
-    ``ndtr`` and ``ndtri`` onto the standard library, and on an in-module
-    Brent solver; scipy is the reference. The solver must reproduce
-    scipy.optimize.brentq exactly, the normal functions within the stated,
-    measured tolerances."""
+    ``ndtr`` and ``ndtri`` onto the standard library, and on in-module
+    Brent solvers; scipy is the reference. The root finder and the minimiser
+    must reproduce scipy.optimize.brentq and minimize_scalar(method="bounded")
+    exactly, the normal functions within the stated, measured tolerances."""
 
     @settings(max_examples=500, deadline=None)
     @given(x=st.floats(-40.0, 10.0), log_q=st.floats(-300.0, math.log10(0.49)))
@@ -283,6 +284,46 @@ class TestScipyOracle:
         # an infinity or NaN there and bisects, where Python would raise.
         expected = optimize.brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16)
         assert _brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16) == expected
+
+    def test_minimiser_matches_scipy_over_the_budget_grid(self):
+        # gaussian_primitive's objective and bracket on the grid of
+        # test_primitive_matches_split_space_search.
+        for eps in np.geomspace(0.01, 10.0, 7):
+            for delta in (1e-30, 1e-20, 1e-12, 1e-8, 1e-4, 0.1):
+                params = PrivacyParams(float(eps), delta)
+                for kappa in (1, 2, 3, 4, 5, 7, 8, 10):
+                    with mock.patch.object(
+                        baselines, "_fminbound", wraps=baselines._fminbound
+                    ) as minimiser:
+                        gaussian_primitive(params, kappa)
+                    (objective, lo, hi), options = minimiser.call_args
+                    assert options == {"xatol": 1e-10}
+                    expected = optimize.minimize_scalar(
+                        objective, bounds=(lo, hi), method="bounded", options=options
+                    ).x
+                    assert _fminbound(objective, lo, hi, **options) == expected
+
+    @pytest.mark.parametrize(
+        ("objective", "lo", "hi"),
+        [
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
+            (lambda x: abs(x - 0.7), 0.0, 1.0),
+            (lambda x: x, 0.0, 1.0),
+            (lambda x: -x, 0.0, 1.0),
+            (lambda x: 1.0, -1.0, 1.0),
+            (lambda x: 0.0 if x < 0.25 else 1.0, 0.0, 1.0),
+            (math.cos, 0.0, 10.0),
+            (lambda x: x**4 - x, -2.0, 2.0),
+            (lambda x: math.log(x) / x, 1.0, 1e6),
+        ],
+    )
+    @pytest.mark.parametrize("xatol", [1e-10, 1e-5, 0.0])
+    def test_minimiser_matches_scipy_on_edge_cases(self, objective, lo, hi, xatol):
+        # minima at either bound, flat and step objectives, several local minima
+        expected = optimize.minimize_scalar(
+            objective, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        ).x
+        assert _fminbound(objective, lo, hi, xatol=xatol) == expected
 
     def test_brent_port_raises_where_scipy_does(self):
         def nan_inside(x):
@@ -403,6 +444,63 @@ class TestSummaries:
         else:
             assert percentile_n(pi, q, upper=upper) == scan
             assert percentile_n(pi, q) == scan
+
+    def test_bounded_search_matches_the_search_that_probed_one_first(self):
+        # The bounded search used to evaluate pi(1) first, then bisect
+        # [1, upper]; kept here as the reference. On the curves of the
+        # default midpoints tables and the kappa table, at the upper bounds
+        # the CLI uses and at bounds equal to and just below the answer, the
+        # new search finds the same count or raises the same error, in at
+        # most ceil(log2(upper)) + 1 evaluations.
+        def reference(pi, q, upper):
+            if pi(1) >= q:
+                return 1
+            lo, hi = 1, upper
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if pi(mid) >= q:
+                    hi = mid
+                else:
+                    lo = mid
+            if hi == upper and pi(upper) < q:
+                raise ValueError(f"pi never reaches {q} within the search bound {upper}")
+            return hi
+
+        def outcome(search, pi, q, upper):
+            try:
+                return search(pi, q, upper)
+            except ValueError as exc:
+                return str(exc)
+
+        def baseline_upper(prim):
+            return math.ceil(prim.threshold) + math.ceil(64.0 / prim.epsilon)
+
+        curves = []
+        budgets = [PrivacyParams(float(e), 1e-5) for e in np.geomspace(0.01, 3.0, 64)]
+        budgets += [PrivacyParams(1.0, float(d)) for d in np.geomspace(1e-12, 1e-3, 64)]
+        budgets += [PrivacyParams(1.0, 1e-5).split(kappa) for kappa in range(1, 8)]
+        for params in budgets:
+            opt, lap = OptPrimitive.from_params(params), LaplacePrimitive.from_params(params)
+            curves.append((lambda n, p=opt: pi_opt(p, n), opt.n2 + 1))
+            curves.append((lambda n, p=lap: pi_laplace(p, n), baseline_upper(lap)))
+        for kappa in range(1, 8):
+            gauss = gaussian_primitive(PrivacyParams(1.0, 1e-5), kappa)
+            curves.append((lambda n, p=gauss: pi_gaussian(p, n), baseline_upper(gauss)))
+        seen = set()
+        for pi, upper in curves:
+            for q in (0.0, 0.05, 0.5, 0.95, 1.0):
+                answer = outcome(reference, pi, q, upper)
+                bounds = {upper} if isinstance(answer, str) else {upper, answer, max(1, answer - 1)}
+                for bound in bounds:
+                    expected = outcome(reference, pi, q, bound)
+                    evaluated = []
+                    counted = lambda n: evaluated.append(n) or pi(n)  # noqa: E731
+                    got = outcome(lambda p, q, u: percentile_n(p, q, upper=u), counted, q, bound)
+                    assert got == expected
+                    assert len(evaluated) <= (bound - 1).bit_length() + 1
+                    seen.add("error" if isinstance(got, str) else "one" if got == 1 else
+                             "bound" if got == bound else "inside")
+        assert seen == {"error", "one", "bound", "inside"}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -444,6 +444,30 @@ class TestSelect:
             (row,) = csv.DictReader(f)
         assert row["partition"] == "a\nb"
 
+    @pytest.mark.parametrize("mode", ["release-counts", "dual"])
+    def test_count_modes_round_trip_keys_with_line_breaks(self, runner, tmp_path, mode):
+        # csv's minimal quoting leaves a lone CR bare, and a reader splits the row there.
+        keys = ["a\nb", "a\r\nb", "a\rb", "\r", "plain"]
+        data = tmp_path / "rows.csv"
+        with open(data, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow(["user_id", "partition"])
+            writer.writerows((f"u{k}-{i}", key) for k, key in enumerate(keys) for i in range(40))
+        public = tmp_path / "public.txt"
+        public.write_text("known\n", encoding="utf-8")
+        counts = tmp_path / "counts.csv"
+        argv = ["select", "--input", str(data), "--mode", mode, "--epsilon", "5", "--delta", "0.1",
+                "--out", str(counts)]
+        if mode == "dual":
+            argv += ["--public-file", str(public), "--public-threshold", "0"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        with open(counts, newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["partition", "noisy_count"]
+        assert all(len(row) == 2 and int(row[1]) > 0 for row in rows)
+        assert set(keys) <= {row[0] for row in rows} <= {*keys, "known"}
+
     def test_malformed_input_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         for body, line in (
