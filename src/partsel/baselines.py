@@ -368,6 +368,8 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
 
     lo = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9), _SIGMA_TOL))
     hi = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9, _SIGMA_TOL))
+    # Brent stops within about 1.5e-8 * |log sigma|, scipy's relative term;
+    # xatol sets the stop only for sigma near 1.
     log_sigma = _fminbound(lambda s: split(s)[3], lo, hi, xatol=1e-10)
     return GaussianPrimitive(eps, *split(log_sigma), kappa)
 

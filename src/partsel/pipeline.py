@@ -330,10 +330,10 @@ def write_release(released: Mapping[str, int], out: TextIO) -> None:
     """Count-mode output: 'partition,noisy_count' CSV sorted by key.
 
     Minimal quoting quotes a key holding LF but not one holding a lone CR,
-    at which a CSV reader splits the row; such keys are written quoted.
+    at which a CSV reader splits the row; when any key holds a CR, every
+    string field is written quoted.
     """
-    plain = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    plain.writerow(["partition", "noisy_count"])
-    for row in sorted(released.items()):
-        (quoted if "\r" in row[0] else plain).writerow(row)
+    quoting = csv.QUOTE_NONNUMERIC if "\r" in "".join(released) else csv.QUOTE_MINIMAL
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+    writer.writerow(["partition", "noisy_count"])
+    writer.writerows(sorted(released.items()))

@@ -57,11 +57,7 @@ def crossover_exponent(epsilon: float, delta: float) -> float:
     Written with expm1/log1p so the small-epsilon regime keeps full
     precision. Nonnegative for delta <= 1, and zero exactly at delta = 1.
     """
-    return _crossover_exponent(epsilon, delta, _expm1(epsilon))
-
-
-def _crossover_exponent(epsilon: float, delta: float, em1: float) -> float:
-    """:func:`crossover_exponent` given ``em1 = _expm1(epsilon)``."""
+    em1 = _expm1(epsilon)
     if math.isinf(em1):
         # e^eps dwarfs every other term in the ratio (correction ~ e^-eps)
         return -math.log(delta) / epsilon
@@ -82,23 +78,16 @@ def compute_n1(params: PrivacyParams) -> int:
     """First crossover: the last count whose keep probability still grows geometrically."""
     eps, delta = params.effective_epsilon, params.effective_delta
     _check_crossover_budget(eps, delta)
-    return _n1(eps, delta, _expm1(eps))
-
-
-def _n1(eps: float, delta: float, em1: float) -> int:
-    return 1 + math.floor(_snap(_crossover_exponent(eps, delta, em1)))
+    return 1 + math.floor(_snap(crossover_exponent(eps, delta)))
 
 
 def compute_n2(params: PrivacyParams, n1: int, pi_n1: float) -> int:
     """Second crossover: the last count before the keep probability saturates at 1."""
     eps, delta = params.effective_epsilon, params.effective_delta
     _check_crossover_budget(eps, delta)
-    return _n2(eps, delta, _expm1(eps), n1, pi_n1)
-
-
-def _n2(eps: float, delta: float, em1: float, n1: int, pi_n1: float) -> int:
     if pi_n1 >= 1.0:
         return n1
+    em1 = _expm1(eps)
     ratio = em1 / delta
     if math.isinf(ratio):
         # ratio overflowed, so the +1 inside log1p is negligible anyway
@@ -116,8 +105,10 @@ def _growth_value(eps: float, delta: float, em1: float, n: float) -> float:
     """
     if math.isinf(em1):
         # work in logs once e^eps overflows; exact at n = 1 where the value is delta
-        return min(1.0, _exp(math.log(delta) + (n - 1.0) * eps))
-    return min(1.0, delta * _expm1(n * eps) / em1)
+        value = _exp(math.log(delta) + (n - 1.0) * eps)
+    else:
+        value = delta * _expm1(n * eps) / em1
+    return value if value < 1.0 else 1.0  # min(1.0, value), NaN included, without the call
 
 
 @dataclass(frozen=True)
@@ -148,11 +139,9 @@ class OptPrimitive:
         eps, delta = params.effective_epsilon, params.effective_delta
         if delta == 0.0 or eps == 0.0:
             return cls(params=params, n1=0, n2=0, pi_n1=0.0)
-        _check_crossover_budget(eps, delta)
-        em1 = _expm1(eps)
-        n1 = _n1(eps, delta, em1)
-        pi_n1 = _growth_value(eps, delta, em1, n1)
-        n2 = _n2(eps, delta, em1, n1, pi_n1)
+        n1 = compute_n1(params)
+        pi_n1 = _growth_value(eps, delta, _expm1(eps), n1)
+        n2 = compute_n2(params, n1, pi_n1)
         return cls(params=params, n1=n1, n2=n2, pi_n1=pi_n1)
 
 
@@ -167,13 +156,7 @@ def pi_opt(prim: OptPrimitive, n: int) -> float:
     if eps == 0.0:
         return min(1.0, n * delta)
     if n <= prim.n1:
-        em1 = prim._em1
-        if n * eps < 700.0 and em1 < math.inf:
-            # _growth_value's expression, inline where expm1 cannot overflow.
-            # Both clamps here equal min(1.0, value), NaN included, without its call.
-            value = delta * math.expm1(n * eps) / em1
-            return value if value < 1.0 else 1.0
-        return _growth_value(eps, delta, em1, n)
+        return _growth_value(eps, delta, prim._em1, n)
     if n <= prim.n2:
         m = n - prim.n1
         grown = -math.expm1(-m * eps) * (1.0 + delta / prim._em1)

