@@ -31,6 +31,11 @@ class Neighboring(enum.Enum):
     REPLACE = "replace"
 
 
+# A module constant: reading it skips the enum class's attribute lookup,
+# which the effective-budget properties would otherwise pay on every read.
+_REPLACE = Neighboring.REPLACE
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) differential privacy budget.
@@ -54,13 +59,13 @@ class PrivacyParams:
 
     @property
     def effective_epsilon(self) -> float:
-        if self.neighboring is Neighboring.REPLACE:
+        if self.neighboring is _REPLACE:
             return self.epsilon / 2.0
         return self.epsilon
 
     @property
     def effective_delta(self) -> float:
-        if self.neighboring is Neighboring.REPLACE:
+        if self.neighboring is _REPLACE:
             return self.delta / 2.0
         return self.delta
 

@@ -81,8 +81,14 @@ def ingest(
     STRICT raises when a user appears with more distinct partitions than
     ``max_partitions_per_user``; FIRST_WINS silently keeps each user's
     earliest distinct partitions in input order (a non-private preprocessing
-    convention). Each (user, partition) pair is counted at most once. Given
-    the rows of :func:`read_rows`, ingest reads the CSV in the same pass.
+    convention). Each (user, partition) pair is counted at most once.
+
+    Given the rows of :func:`read_rows`, ingest reads the CSV in the same
+    pass: a field of a csv row is always a string, so each row is checked
+    only for two fields, both nonempty, and an error names its line. Rows
+    from any other iterable are checked, and numbered for their errors, in
+    front of the same loop. Either way the first offending row raises,
+    whether it is malformed or breaks the strict bound.
     """
     if not is_int(max_partitions_per_user) or max_partitions_per_user < 1:
         raise ConfigurationError(
@@ -93,23 +99,20 @@ def ingest(
     # Each user's first partition, and the further ones that count (kappa > 1 only).
     first: dict[str, str] = {}
     more: dict[str, tuple[str, ...]] = {}
-    # The rows of read_rows come straight from their csv reader, and their errors name the line.
+    first_of = first.setdefault
     from_csv = isinstance(rows, _CsvRows)
-    with rows.reader() if from_csv else contextlib.nullcontext(rows) as pairs:
-        for i, row in enumerate(pairs, start=1):
+    with rows.reader() if from_csv else contextlib.nullcontext(_checked(rows)) as pairs:
+        for row in pairs:
+            # Only a csv row can fail here: _checked yields nonempty string pairs.
             try:
                 user_id, partition = row
-            except (TypeError, ValueError):
-                if not from_csv:
-                    raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
+            except ValueError:
                 if not row:  # a blank line
                     continue
                 raise _line_error(pairs) from None
-            if not (isinstance(user_id, str) and isinstance(partition, str) and user_id and partition):
-                if from_csv:
-                    raise _line_error(pairs)
-                raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
-            if first.setdefault(user_id, partition) == partition:
+            if not (user_id and partition):
+                raise _line_error(pairs)
+            if first_of(user_id, partition) == partition:
                 continue
             others = more.get(user_id, ())
             if partition in others:
@@ -126,6 +129,22 @@ def ingest(
     hist = PartitionHistogram()
     hist._counts = counts
     return hist
+
+
+def _checked(rows: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """The rows of a non-CSV source as (user_id, partition) pairs of nonempty strings.
+
+    Each row is checked as it is handed on, so an error names its row and is
+    raised only once every row before it has been ingested.
+    """
+    for i, row in enumerate(rows, start=1):
+        try:
+            user_id, partition = row
+        except (TypeError, ValueError):
+            raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
+        if not (isinstance(user_id, str) and isinstance(partition, str) and user_id and partition):
+            raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
+        yield user_id, partition
 
 
 def _line_error(reader) -> InputFormatError:

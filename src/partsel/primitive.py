@@ -46,7 +46,10 @@ def _snap(x: float) -> float:
     not push the result across the integer boundary.
     """
     r = float(round(x))
-    if abs(x - r) <= max(1e-12, 8.0 * math.ulp(max(1.0, abs(x)))):
+    gap = abs(x - r)
+    # 8 ulps of max(1, |x|) are at most |x| * 2^-49 when |x| >= 1, and below
+    # 1e-12 otherwise, so a gap above both bounds is rejected without math.ulp.
+    if gap <= 1e-12 or (gap <= abs(x) * 2.0**-49 and gap <= 8.0 * math.ulp(abs(x))):
         return r
     return x
 
@@ -78,16 +81,25 @@ def compute_n1(params: PrivacyParams) -> int:
     """First crossover: the last count whose keep probability still grows geometrically."""
     eps, delta = params.effective_epsilon, params.effective_delta
     _check_crossover_budget(eps, delta)
-    return 1 + math.floor(_snap(crossover_exponent(eps, delta)))
+    return _n1(eps, delta)
 
 
 def compute_n2(params: PrivacyParams, n1: int, pi_n1: float) -> int:
     """Second crossover: the last count before the keep probability saturates at 1."""
     eps, delta = params.effective_epsilon, params.effective_delta
     _check_crossover_budget(eps, delta)
+    return _n2(eps, delta, _expm1(eps), n1, pi_n1)
+
+
+def _n1(eps: float, delta: float) -> int:
+    """:func:`compute_n1` on a checked budget."""
+    return 1 + math.floor(_snap(crossover_exponent(eps, delta)))
+
+
+def _n2(eps: float, delta: float, em1: float, n1: int, pi_n1: float) -> int:
+    """:func:`compute_n2` on a checked budget; ``em1`` is ``_expm1(eps)``."""
     if pi_n1 >= 1.0:
         return n1
-    em1 = _expm1(eps)
     ratio = em1 / delta
     if math.isinf(ratio):
         # ratio overflowed, so the +1 inside log1p is negligible anyway
@@ -139,10 +151,11 @@ class OptPrimitive:
         eps, delta = params.effective_epsilon, params.effective_delta
         if delta == 0.0 or eps == 0.0:
             return cls(params=params, n1=0, n2=0, pi_n1=0.0)
-        n1 = compute_n1(params)
-        pi_n1 = _growth_value(eps, delta, _expm1(eps), n1)
-        n2 = compute_n2(params, n1, pi_n1)
-        return cls(params=params, n1=n1, n2=n2, pi_n1=pi_n1)
+        _check_crossover_budget(eps, delta)
+        em1 = _expm1(eps)
+        n1 = _n1(eps, delta)
+        pi_n1 = _growth_value(eps, delta, em1, n1)
+        return cls(params=params, n1=n1, n2=_n2(eps, delta, em1, n1, pi_n1), pi_n1=pi_n1)
 
 
 def pi_opt(prim: OptPrimitive, n: int) -> float:

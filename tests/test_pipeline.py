@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -64,6 +65,34 @@ class TestIngest:
             ingest([("u1", "a"), ("u2",)])
         with pytest.raises(InputFormatError, match="row 1"):
             ingest([("", "a")])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (5, "expected (user_id, partition), got 5"),
+            (("u9", "a", "b"), "expected (user_id, partition), got ('u9', 'a', 'b')"),
+            ((7, "a"), "user_id and partition must be nonempty strings"),
+            (("u9", ""), "user_id and partition must be nonempty strings"),
+        ],
+        ids=["not-iterable", "three-fields", "int-user", "empty-partition"],
+    )
+    def test_first_offending_row_raises(self, bad, message):
+        # A row that is not a pair of nonempty strings raises with its row
+        # number, unless a strict violation on an earlier row raised first.
+        def raises(error, match, rows, **kwargs):
+            with pytest.raises(error, match=match):
+                ingest(iter(rows), **kwargs)
+
+        def at_row(i):
+            return f"^row {i}: {re.escape(message)}$"
+
+        raises(InputFormatError, at_row(1), [bad, ("u1", "a"), ("u1", "b")])
+        raises(InputFormatError, at_row(3), [("u1", "a"), ("u2", "a"), bad, ("u1", "b")])
+        raises(StrictViolationError, "u1", [("u1", "a"), ("u1", "b"), bad])
+        # A dropped row (first-wins) does not stop the check of the next one.
+        rows = [("u1", "a"), ("u1", "b"), bad]
+        raises(InputFormatError, at_row(3), rows, mode=IngestMode.FIRST_WINS)
+        assert ingest(rows[:2], mode=IngestMode.FIRST_WINS).counts() == {"a": 1}
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -19,7 +19,7 @@ from partsel import (
     pi_opt_recursive,
     pi_opt_recursive_sequence,
 )
-from partsel.primitive import _exp, _expm1, keep_threshold
+from partsel.primitive import _exp, _expm1, _snap, keep_threshold
 from partsel.truncated_geometric import delta_for_exact_threshold
 
 # Spot values computed with the recurrence oracle at these budgets.
@@ -63,6 +63,35 @@ class TestCrossovers:
         for params in budget_grid:
             prim = OptPrimitive.from_params(params)
             assert 0 < prim.n1 <= prim.n2
+
+    def test_from_params_builds_the_public_crossovers(self, budget_grid):
+        # from_params runs the bodies of compute_n1 and compute_n2 on one
+        # read of the budget; it must build exactly what they give.
+        for params in budget_grid:
+            for neighboring in Neighboring:
+                p = dataclasses.replace(params, neighboring=neighboring)
+                eps, delta = p.effective_epsilon, p.effective_delta
+                n1 = compute_n1(p)
+                pi_n1 = min(1.0, delta * math.expm1(n1 * eps) / math.expm1(eps))
+                assert OptPrimitive.from_params(p) == OptPrimitive(p, n1, compute_n2(p, n1, pi_n1), pi_n1)
+
+    def test_snap_equals_its_plain_expression(self):
+        # _snap skips math.ulp for values far from an integer; that must not
+        # change what it returns.
+        def reference(x):
+            r = float(round(x))
+            if abs(x - r) <= max(1e-12, 8.0 * math.ulp(max(1.0, abs(x)))):
+                return r
+            return x
+
+        values = [1e15, 1e15 + 0.5, 1e15 + 1.0, 2.0**53 + 2.0, 1e16, 1e300, 0.5, 2.5]
+        for base in (0.0, 1.0, 3.0, 1e3, 2.0**20, 1e6 + 1.0, 1e9, 1e12, 1e15):
+            ulp = math.ulp(max(1.0, base))
+            for gap in (1e-12, 7.0 * ulp, 8.0 * ulp, 9.0 * ulp, 0.3):
+                for near in (base + gap, base - gap):
+                    values += [near, math.nextafter(near, math.inf), math.nextafter(near, -math.inf)]
+        for x in values + [-x for x in values]:
+            assert _snap(x).hex() == reference(x).hex(), x
 
     def test_crossovers_match_recursive_branch_switch(self):
         # the first crossover is the last count still explained by the
