@@ -51,15 +51,10 @@ _MODULES = {
         "expected_output_size",
         "pi_opt",
         "pi_opt_many",
-        "pi_opt_recursive",
-        "pi_opt_recursive_sequence",
     ),
     "truncated_geometric": (
         "TsgdParams",
-        "delta_for_exact_threshold",
-        "selection_prob_via_threshold",
         "tsgd_params",
-        "tsgd_pmf",
         "tsgd_sample",
         "tsgd_sample_many",
         "tsgd_tail",

@@ -43,6 +43,8 @@ def _output_file(path: str) -> str:
     """argparse type of ``--out``: '-' for stdout, or a file that can be opened for writing."""
     if path == "-":
         return path
+    if not path:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
     parent = os.path.dirname(path) or os.curdir
@@ -298,7 +300,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kappa", type=int, default=1, help="Divide the budget for users touching up to kappa partitions. Default: %(default)s.")
-    p.add_argument("--seed", type=int, default=0, help="Default: %(default)s.")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="The only secret of the release: anyone who knows it can recompute every key's "
+        "uniform and read counts from the output, so use a random value and keep it private. "
+        "The default, %(default)s, protects nothing.",
+    )
     p.add_argument(
         "--conflict",
         choices=_CONFLICT_MODES,

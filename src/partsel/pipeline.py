@@ -6,11 +6,16 @@ partition key's BLAKE2b-64 digest (the key's UTF-8 bytes, keyed by the seed
 as 8 little-endian bytes and personalised by the mode: ``select``,
 ``release`` or ``dual``). A decision therefore depends only on the seed, the
 mode, the key and its count, never on row order, shard layout or the other
-keys. Keys are decided in plain Python on exact integers, each in the pass
-that makes its digest: the digest is compared with one integer per distinct
-count (the keep threshold, or in the count modes the least uniform whose
-noise clears the bound). Only the released keys are kept, and only they have
-their noise inverted from the integer CDF bounds.
+keys. Strict ingestion's counts do not depend on row order either, but
+first-wins keeps each user's earliest partitions in input order, so its
+counts, and the outputs drawn from them, can change with row order (ROADMAP
+item 4).
+
+Keys are decided in plain Python on exact integers, each in the pass that
+makes its digest: the digest is compared with one integer per distinct count
+(the keep threshold, or in the count modes the least uniform whose noise
+clears the bound). Only the released keys are kept, and only they have their
+noise inverted from the integer CDF bounds.
 """
 
 from __future__ import annotations
@@ -213,10 +218,19 @@ def read_rows(source: str | os.PathLike | TextIO) -> Iterable[tuple[str, str]]:
 
 
 def read_keys(path: str | os.PathLike) -> list[str]:
-    """The nonempty lines of a UTF-8 text file, one partition key each."""
+    """The nonempty lines of a UTF-8 text file, one partition key each.
+
+    A file that starts with a byte-order mark is refused: the mark would
+    become part of the first key, which then names no partition of the input.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            return [line.rstrip("\n") for line in f if line.strip()]
+            first = f.readline()
+            if first.startswith("\ufeff"):
+                raise InputFormatError(
+                    f"line 1: file {os.fsdecode(path)!r} starts with a UTF-8 byte-order mark"
+                )
+            return [line.rstrip("\n") for line in itertools.chain((first,), f) if line.strip()]
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
 

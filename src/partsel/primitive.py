@@ -4,7 +4,8 @@ The keep probability for a partition with ``n`` unique users follows a
 three-piece closed form: geometric growth up to a first crossover count
 ``n1``, exponential approach to one up to a second crossover ``n2``, and
 exactly one beyond that. The O(n) recurrence the pieces are derived from is
-kept as a reference oracle for tests.
+not part of the package: it is the tests' reference oracle, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .params import PrivacyParams
 
 if TYPE_CHECKING:
     import numpy as np
-
-# The recurrence is a test oracle, not a production path; refuse silly sizes.
-RECURSION_LIMIT = 10**7
 
 
 def _exp(x: float) -> float:
@@ -179,7 +177,10 @@ def pi_opt(prim: OptPrimitive, n: int) -> float:
 
 
 def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
-    """:func:`pi_opt` over an array of counts, evaluated once per distinct count."""
+    """:func:`pi_opt` over an array of counts, evaluated once per distinct count.
+
+    Needs numpy, which the package does not declare as a dependency.
+    """
     import numpy as np
 
     ns = np.asarray(ns)
@@ -196,34 +197,6 @@ def keep_threshold(prim: OptPrimitive, n: int) -> int:
     down to the 2^-53 grid and never exceeds it.
     """
     return math.floor(pi_opt(prim, n) * 2.0**53)
-
-
-def pi_opt_recursive(params: PrivacyParams, n: int) -> float:
-    """O(n) reference recurrence for the keep probability (test oracle).
-
-    pi(0) = 0 and pi(n+1) is the largest value the neighboring-database
-    inequalities allow given pi(n): min(e^eps*pi(n) + delta,
-    1 - e^-eps*(1 - pi(n) - delta), 1).
-    """
-    return pi_opt_recursive_sequence(params, n)[-1]
-
-
-def pi_opt_recursive_sequence(params: PrivacyParams, n_max: int) -> list[float]:
-    """All recurrence values pi(0..n_max) in one pass."""
-    if n_max < 0:
-        raise ValueError(f"count must be >= 0, got {n_max}")
-    if n_max > RECURSION_LIMIT:
-        raise ValueError(f"recursive oracle refuses n > {RECURSION_LIMIT}")
-    eps, delta = params.effective_epsilon, params.effective_delta
-    if eps > 709.0:
-        raise ValueError(f"epsilon {eps} exceeds the oracle's float range")
-    e_pos, e_neg = math.exp(eps), math.exp(-eps)
-    pi = 0.0
-    out = [0.0]
-    for _ in range(n_max):
-        pi = min(e_pos * pi + delta, 1.0 - e_neg * (1.0 - pi - delta), 1.0)
-        out.append(pi)
-    return out
 
 
 def expected_output_size(hist, prim: OptPrimitive) -> float:

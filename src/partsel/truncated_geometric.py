@@ -114,31 +114,6 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     return TsgdParams(p=p, k=k, delta=delta)
 
 
-def delta_for_exact_threshold(epsilon: float, k: int) -> float:
-    """The delta at which the truncation bound for ``epsilon`` is exactly ``k``.
-
-    At such budgets, thresholding the noisy count reproduces the optimal
-    primitive with no slack.
-    """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if (k + 1) * epsilon > 700.0:
-        # e^(k*eps) would overflow; (e^eps - 1)/(e^eps + 1) is safe in logs
-        half = math.exp(-epsilon)
-        return math.exp(math.log1p(-2.0 * half / (1.0 + half)) - k * epsilon)
-    denom = math.exp(k * epsilon) * (math.exp(epsilon) + 1.0) - 2.0
-    return math.expm1(epsilon) / denom
-
-
-def tsgd_pmf(t: TsgdParams, x: int) -> float:
-    """P(X = x): c * (1-p)^|x| on [-k, k], zero outside."""
-    if abs(x) > t.k:
-        return 0.0
-    return t.c * (1.0 - t.p) ** abs(x)
-
-
 def _tail_from_below(ratio: float, eps: float, k: int, a: int) -> float:
     # P(X >= k + 1 - a) for 0 < a <= k + 1 and ratio = c/p:
     # delta_effective * (e^(a*eps) - 1) / (e^eps - 1), rearranged so every
@@ -177,22 +152,21 @@ def tsgd_cutoff(t: TsgdParams, m: int) -> int:
 
 
 def tsgd_sample(t: TsgdParams, rng: np.random.Generator) -> int:
-    """One draw, by inverse transform over the 2k+1 outcomes."""
+    """One draw, by inverse transform over the 2k+1 outcomes.
+
+    ``rng`` is a numpy Generator, so this needs numpy, which the package does
+    not declare as a dependency.
+    """
     # rng.random() is a multiple of 2^-53, so this is an exact 53-bit integer
     return tsgd_inverse(t, (int(rng.random() * 2.0**53),))[0]
 
 
 def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draws sharing one generator, inverted like :func:`tsgd_sample`, as an int64 array."""
+    """Draws sharing one generator, inverted like :func:`tsgd_sample`, as an int64 array.
+
+    Needs numpy, which the package does not declare as a dependency.
+    """
     import numpy as np
 
     u53s = (rng.random(size) * 2.0**53).astype(np.uint64).tolist()
     return np.array(tsgd_inverse(t, u53s), dtype=np.int64)
-
-
-def selection_prob_via_threshold(params: PrivacyParams, n: int) -> float:
-    """Keep probability realized by noising count ``n`` and thresholding at k."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    t = tsgd_params(params)
-    return tsgd_tail(t, n, t.k + 1)

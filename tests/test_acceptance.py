@@ -24,16 +24,19 @@ from partsel import (
     pi_laplace,
     pi_opt,
     pi_opt_many,
-    pi_opt_recursive_sequence,
     select_partitions,
-    selection_prob_via_threshold,
     thresholded_release,
     tsgd_params,
-    tsgd_pmf,
     tsgd_sample_many,
 )
 from partsel.cli import main as cli_main
-from partsel.truncated_geometric import delta_for_exact_threshold
+
+from oracles import (
+    delta_for_exact_threshold,
+    pi_opt_recursive_sequence,
+    selection_prob_via_threshold,
+    tsgd_pmf,
+)
 
 GRID = [
     PrivacyParams(eps, delta)

@@ -24,7 +24,8 @@ from partsel import (
 )
 from partsel import baselines
 from partsel.baselines import _brentq, _fminbound, _log_delta_gaussian, _log_ndtr, _ndtr
-from partsel.truncated_geometric import delta_for_exact_threshold
+
+from oracles import delta_for_exact_threshold
 
 LAP_T_EPS1_DELTA1E5 = 11.819778284410283
 PI_LAP_11 = 0.22026465794806713

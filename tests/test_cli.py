@@ -513,6 +513,23 @@ class TestSelect:
         assert "line 2:" in result.output
         assert str(public) in result.output
 
+    def test_public_file_with_byte_order_mark_fails_before_ingest(self, runner, tmp_path):
+        data = tmp_path / "rows.csv"
+        # This input breaks strict mode (exit 3) once ingested.
+        _write_input(data, [("u1", "k1"), ("u1", "k2")])
+        public = tmp_path / "public.txt"
+        # Read as text, the mark would stay on the first key: '\ufeffk1', not 'k1'.
+        public.write_bytes(b"\xef\xbb\xbfk1\nk2\n")
+        result = runner.invoke(
+            main,
+            ["select", "--input", str(data), "--mode", "dual", "--epsilon", "1",
+             "--delta", "1e-5", "--public-file", str(public), "--public-threshold", "0"],
+        )
+        assert result.exit_code == 2
+        assert "line 1:" in result.output
+        assert "byte-order mark" in result.output
+        assert str(public) in result.output
+
     def test_dual_without_public_config_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         # The second input breaks strict mode (exit 3): the flags are checked before it is read.
@@ -595,7 +612,9 @@ class TestUsageErrors:
         assert named in result.output
 
     @pytest.mark.parametrize("command", ["select", "midpoints"])
-    @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.txt"], ids=["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "out", ["{tmp}", "{tmp}/missing/out.txt", ""], ids=["directory", "missing-parent", "empty"]
+    )
     def test_unopenable_out_exits_2_before_any_work(self, runner, tmp_path, command, out):
         data = tmp_path / "rows.csv"
         # This input breaks strict mode (exit 3) once ingested.

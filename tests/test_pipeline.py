@@ -29,7 +29,9 @@ from partsel import (
     write_selection,
 )
 from partsel.primitive import keep_threshold
-from partsel.truncated_geometric import delta_for_exact_threshold, tsgd_inverse, tsgd_tail
+from partsel.truncated_geometric import tsgd_inverse, tsgd_tail
+
+from oracles import delta_for_exact_threshold
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -123,6 +125,34 @@ class TestIngest:
             return
         hist = ingest(rows, mode=mode, max_partitions_per_user=kappa)
         assert hist.counts() == Counter(part for _, part in kept)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        data=st.data(),
+    )
+    def test_strict_outputs_do_not_depend_on_row_order(self, kappa, seed, data):
+        # Rows that strict mode accepts: each user on at most kappa distinct
+        # partitions, some pairs repeated. A permutation also stands for
+        # shards concatenated in any order.
+        partitions = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=kappa, unique=True)
+        users = data.draw(st.dictionaries(st.sampled_from([f"u{i}" for i in range(25)]), partitions))
+        rows = [(user, part) for user, parts in users.items() for part in parts]
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=10))
+        params = PrivacyParams(1.0, 0.05).split(kappa)
+        prim = OptPrimitive.from_params(params)
+
+        def outputs(rows):
+            hist = ingest(rows, max_partitions_per_user=kappa)
+            selection, release, dual = io.StringIO(), io.StringIO(), io.StringIO()
+            write_selection(select_partitions(hist, prim, seed), selection)
+            write_release(thresholded_release(hist, params, seed), release)
+            write_release(dual_threshold_release(hist, ["a", "c", "absent"], params, 0, seed), dual)
+            return selection.getvalue(), release.getvalue(), dual.getvalue()
+
+        assert outputs(data.draw(st.permutations(rows))) == outputs(rows)
 
 
 class TestCsvReader:

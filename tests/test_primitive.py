@@ -16,11 +16,10 @@ from partsel import (
     expected_output_size,
     pi_opt,
     pi_opt_many,
-    pi_opt_recursive,
-    pi_opt_recursive_sequence,
 )
 from partsel.primitive import _exp, _expm1, _snap, keep_threshold
-from partsel.truncated_geometric import delta_for_exact_threshold
+
+from oracles import delta_for_exact_threshold, pi_opt_recursive, pi_opt_recursive_sequence
 
 # Spot values computed with the recurrence oracle at these budgets.
 PI_11_EPS1_DELTA1E5 = 0.3484477384533131

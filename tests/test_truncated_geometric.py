@@ -11,16 +11,15 @@ from partsel import (
     OptPrimitive,
     PrivacyParams,
     TsgdParams,
-    delta_for_exact_threshold,
     pi_opt,
-    selection_prob_via_threshold,
     tsgd_params,
-    tsgd_pmf,
     tsgd_sample,
     tsgd_sample_many,
     tsgd_tail,
 )
 from partsel.truncated_geometric import tsgd_cutoff, tsgd_inverse
+
+from oracles import delta_for_exact_threshold, selection_prob_via_threshold, tsgd_pmf
 
 DP_PAIRS = [
     (eps, delta)
