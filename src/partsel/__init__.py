@@ -46,8 +46,6 @@ _MODULES = {
     ),
     "primitive": (
         "OptPrimitive",
-        "compute_n1",
-        "compute_n2",
         "expected_output_size",
         "pi_opt",
         "pi_opt_many",

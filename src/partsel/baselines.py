@@ -278,9 +278,7 @@ def _gaussian_profile(epsilon: float, sensitivity: float) -> Callable[[float], f
     return profile
 
 
-def _solve_sigma(
-    profile: Callable[[float], float], sensitivity: float, delta: float, tol: float
-) -> float:
+def _solve_sigma(profile: Callable[[float], float], sensitivity: float, delta: float) -> float:
     """The sigma at which ``profile`` (log delta, decreasing in sigma) equals log(delta)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -304,19 +302,16 @@ def _solve_sigma(
         at_hi = profile(hi)
     else:
         raise ValueError("gaussian calibration failed: could not bracket sigma from above")
-    return _brentq(lambda s: profile(s) - target, lo, hi, xtol=tol, rtol=8.9e-16)
+    return _brentq(lambda s: profile(s) - target, lo, hi, xtol=_SIGMA_TOL, rtol=8.9e-16)
 
 
-def calibrate_gaussian_sigma(
-    epsilon: float, delta: float, sensitivity: float, tol: float = _SIGMA_TOL
-) -> float:
+def calibrate_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Smallest Gaussian noise scale that is (epsilon, delta)-DP at this L2 sensitivity.
 
     Args:
         epsilon: privacy parameter, > 0.
         delta: privacy parameter, in (0, 1).
         sensitivity: L2 sensitivity of the noised statistic, > 0.
-        tol: absolute tolerance of the root find.
 
     Returns:
         The calibrated standard deviation.
@@ -329,7 +324,7 @@ def calibrate_gaussian_sigma(
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not sensitivity > 0.0:
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
-    return _solve_sigma(_gaussian_profile(epsilon, sensitivity), sensitivity, delta, tol)
+    return _solve_sigma(_gaussian_profile(epsilon, sensitivity), sensitivity, delta)
 
 
 def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
@@ -366,8 +361,8 @@ def gaussian_primitive(params: PrivacyParams, kappa: int) -> GaussianPrimitive:
         tail = -math.expm1(math.log1p(-delta_threshold) / kappa)
         return delta_noise, delta_threshold, sigma, 1.0 + sigma * -ndtri(tail)
 
-    lo = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9), _SIGMA_TOL))
-    hi = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9, _SIGMA_TOL))
+    lo = math.log(_solve_sigma(profile, sensitivity, delta * (1.0 - 1e-9)))
+    hi = math.log(_solve_sigma(profile, sensitivity, delta * 1e-9))
     # Brent stops within about 1.5e-8 * |log sigma|, scipy's relative term;
     # xatol sets the stop only for sigma near 1.
     log_sigma = _fminbound(lambda s: split(s)[3], lo, hi, xatol=1e-10)
@@ -383,42 +378,31 @@ def pi_gaussian(prim: GaussianPrimitive, n: float) -> float:
     return _ndtr(-((prim.threshold - n) / prim.sigma))
 
 
-def percentile_n(pi: Callable[[int], float], q: float, *, upper: int | None = None) -> int:
-    """Smallest count n >= 1 with pi(n) >= q, for nondecreasing pi.
+def percentile_n(pi: Callable[[int], float], q: float, *, upper: int) -> int:
+    """Smallest count n in [1, upper] with pi(n) >= q, for nondecreasing pi.
 
-    With ``upper`` the search bisects (0, upper] directly, in at most
-    ceil(log2(upper)) + 1 evaluations, and raises ``ValueError`` when
-    pi(upper) < q; ``upper`` bounds the search for primitives that approach 1
-    only asymptotically. Without it the search checks 1, then doubles until
-    it brackets the answer, then bisects. For a nondecreasing pi the least
-    such n is unique, so both find the same count.
+    Bisects (0, upper] in at most ceil(log2(upper)) + 1 evaluations, and
+    raises ``ValueError`` when pi(upper) < q. The bound makes the search
+    finite for primitives that approach 1 only asymptotically.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    hard = int(upper) if upper is not None else 2**62
-    if hard < 1:
+    top = int(upper)
+    if top < 1:
         raise ValueError(f"upper must be >= 1, got {upper}")
     # Invariant: the answer, if any, lies in (lo, hi], and pi(lo) < q when lo >= 1.
-    lo, hi = 0, hard
-    if upper is None:
-        if pi(1) >= q:
-            return 1
-        lo, hi = 1, 2
-        while pi(hi) < q:  # doubling lands on the bound 2^62 and checks it
-            if hi == hard:
-                raise ValueError(f"pi never reaches {q} within the search bound {hard}")
-            lo, hi = hi, hi * 2
+    lo, hi = 0, top
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pi(mid) >= q:
             hi = mid
         else:
             lo = mid
-    if hi == hard and pi(hard) < q:
-        raise ValueError(f"pi never reaches {q} within the search bound {hard}")
+    if hi == top and pi(top) < q:
+        raise ValueError(f"pi never reaches {q} within the search bound {top}")
     return hi
 
 
-def midpoint(pi: Callable[[int], float], *, upper: int | None = None) -> int:
-    """Smallest count kept with probability at least one half."""
+def midpoint(pi: Callable[[int], float], *, upper: int) -> int:
+    """Smallest count in [1, upper] kept with probability at least one half."""
     return percentile_n(pi, 0.5, upper=upper)

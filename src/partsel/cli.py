@@ -202,6 +202,7 @@ def select(
 ) -> None:
     """Run the private release pipeline over a user_id,partition CSV."""
     from . import pipeline
+    from .truncated_geometric import tsgd_params
 
     if mode != "dual" and (public_file is not None or public_threshold is not None):
         raise ConfigurationError(
@@ -210,8 +211,15 @@ def select(
     if mode == "dual" and (public_file is None or public_threshold is None):
         raise ConfigurationError("dual mode requires --public-file and --public-threshold")
     params = _params(epsilon, delta, neighboring).split(kappa)
-    # Read the public keys first, so that a bad file fails before the input is ingested.
-    public = pipeline.read_keys(public_file) if mode == "dual" else None
+    # The release functions' own checks, and the public keys, come before the
+    # input is ingested, so that a bad value fails on any input with exit 2.
+    pipeline._check_seed(seed)
+    public = None
+    if mode != "select":
+        noise = tsgd_params(params)  # refuses a budget the count modes cannot honour
+        if mode == "dual":
+            pipeline._check_public_threshold(public_threshold, noise.k)
+            public = pipeline.read_keys(public_file)
     hist = pipeline.ingest(
         pipeline.read_rows(input_path),
         mode=pipeline.IngestMode(conflict),

@@ -11,11 +11,13 @@ first-wins keeps each user's earliest partitions in input order, so its
 counts, and the outputs drawn from them, can change with row order (ROADMAP
 item 4).
 
-Keys are decided in plain Python on exact integers, each in the pass that
-makes its digest: the digest is compared with one integer per distinct count
-(the keep threshold, or in the count modes the least uniform whose noise
-clears the bound). Only the released keys are kept, and only they have their
-noise inverted from the integer CDF bounds.
+Every mode decides its keys in one loop, ``_hits``, in plain Python on exact
+integers: each key's digest is compared, in the pass that makes it, with one
+integer per distinct count (the keep threshold, or in the count modes the
+least uniform whose noise clears the bound). The seed check, the MAC and the
+shifts between the 64-bit digest and the 53-bit uniform live only there.
+Only the released keys are kept, and only they have their noise inverted
+from the integer CDF bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import hashlib
 import itertools
 import os
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
 from .primitive import OptPrimitive, keep_threshold
@@ -259,13 +261,47 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _mac(seed: int, purpose: bytes):
-    """The keyed BLAKE2b-64 state that each key's digest is copied from.
+def _check_public_threshold(public_threshold: int, k: int) -> None:
+    """Dual mode's public threshold must be an integer in [-k, k], k the noise bound."""
+    if not is_int(public_threshold) or not -k <= public_threshold <= k:
+        raise ConfigurationError(
+            f"public threshold must be an integer in [-k, k] = [{-k}, {k}], "
+            f"got {public_threshold!r}"
+        )
 
-    A digest read as a little-endian 64-bit integer has the key's uniform ``u``
-    in its top 53 bits, so comparing it with ``t << 11`` compares ``u`` with ``t``.
+
+def _hits(
+    pairs: Iterable[tuple[str, int]],
+    cut: Callable[[int], int],
+    below: bool,
+    seed: int,
+    purpose: bytes,
+) -> list[tuple[str, int, int]]:
+    """(key, count, u) for each (key, count) pair whose uniform ``u`` is a hit.
+
+    ``u`` is the top 53 bits of the key's BLAKE2b-64 digest, keyed by the seed
+    and personalised by ``purpose``. A hit is ``u < cut(n)`` when ``below``
+    is true and ``u >= cut(n)`` otherwise, where ``cut`` is called once per
+    distinct count. Only the hits are kept.
     """
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
+    _check_seed(seed)
+    mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
+    copy, from_bytes = mac.copy, int.from_bytes
+    # The digest read as a little-endian 64-bit integer has u in its top 53
+    # bits, so comparing it with c << 11 compares u with c.
+    cuts: dict[int, int] = {}
+    hits = []
+    for key, n in pairs:
+        try:
+            word_cut = cuts[n]
+        except KeyError:
+            word_cut = cuts[n] = cut(n) << 11
+        h = copy()
+        h.update(key.encode("utf-8"))
+        word = from_bytes(h.digest(), "little")
+        if (word < word_cut) is below:
+            hits.append((key, n, word >> 11))
+    return hits
 
 
 def _noisy_above(
@@ -273,20 +309,8 @@ def _noisy_above(
 ) -> dict[str, int]:
     """Key to noisy count of each (key, count) pair whose noised count exceeds ``bound``."""
     # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
-    # comparison per key, and only the released keys are kept and inverted.
-    cutoffs: dict[int, int] = {}
-    copy, from_bytes = _mac(seed, purpose).copy, int.from_bytes
-    hits = []
-    for key, n in pairs:
-        try:
-            cutoff = cutoffs[n]
-        except KeyError:
-            cutoff = cutoffs[n] = tsgd_cutoff(noise, bound - n + 1) << 11
-        h = copy()
-        h.update(key.encode("utf-8"))
-        word = from_bytes(h.digest(), "little")
-        if word >= cutoff:
-            hits.append((key, n, word >> 11))
+    # comparison per key, and only the released keys are inverted.
+    hits = _hits(pairs, lambda n: tsgd_cutoff(noise, bound - n + 1), False, seed, purpose)
     shifts = tsgd_inverse(noise, [u for _, _, u in hits])
     return {key: n + x for (key, n, _), x in zip(hits, shifts)}
 
@@ -297,24 +321,14 @@ def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -
     A key is kept when its uniform lies below T(n) = floor(pi(n) * 2^53), so
     its realised keep probability never exceeds ``pi(n)``.
     """
-    _check_seed(seed)
-    counts = hist._counts
-    thresholds = {n: keep_threshold(prim, n) << 11 for n in set(counts.values())}
-    copy, from_bytes = _mac(seed, b"select").copy, int.from_bytes
-    kept = []
-    for key, n in counts.items():
-        h = copy()
-        h.update(key.encode("utf-8"))
-        if from_bytes(h.digest(), "little") < thresholds[n]:
-            kept.append(key)
-    return set(kept)
+    hits = _hits(hist._counts.items(), lambda n: keep_threshold(prim, n), True, seed, b"select")
+    return {key for key, _, _ in hits}
 
 
 def thresholded_release(
     hist: PartitionHistogram, params: PrivacyParams, seed: int
 ) -> dict[str, int]:
     """Noise every present count; release key and noisy count when it exceeds k."""
-    _check_seed(seed)
     noise = tsgd_params(params)
     return _noisy_above(noise, hist._counts.items(), noise.k, seed, b"release")
 
@@ -333,13 +347,8 @@ def dual_threshold_release(
     -k releases every public key present in the data (but lets almost every
     absent public key through), while k admits only keys actually present.
     """
-    _check_seed(seed)
     noise = tsgd_params(params)
-    if not is_int(public_threshold) or not -noise.k <= public_threshold <= noise.k:
-        raise ConfigurationError(
-            f"public threshold must be an integer in [-k, k] = "
-            f"[{-noise.k}, {noise.k}], got {public_threshold!r}"
-        )
+    _check_public_threshold(public_threshold, noise.k)
     public = set(public_keys)
     for key in public:
         if not isinstance(key, str) or not key:

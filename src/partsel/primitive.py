@@ -11,7 +11,7 @@ not part of the package: it is the tests' reference oracle, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .params import PrivacyParams
@@ -68,34 +68,20 @@ def crossover_exponent(epsilon: float, delta: float) -> float:
     return math.log1p(arg) / epsilon
 
 
-def _check_crossover_budget(epsilon: float, delta: float) -> None:
-    if epsilon <= 0.0:
-        raise ValueError("effective epsilon must be > 0; the eps=0 budget has no crossover points")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"effective delta must be in (0, 1], got {delta}")
-
-
-def compute_n1(params: PrivacyParams) -> int:
-    """First crossover: the last count whose keep probability still grows geometrically."""
-    eps, delta = params.effective_epsilon, params.effective_delta
-    _check_crossover_budget(eps, delta)
-    return _n1(eps, delta)
-
-
-def compute_n2(params: PrivacyParams, n1: int, pi_n1: float) -> int:
-    """Second crossover: the last count before the keep probability saturates at 1."""
-    eps, delta = params.effective_epsilon, params.effective_delta
-    _check_crossover_budget(eps, delta)
-    return _n2(eps, delta, _expm1(eps), n1, pi_n1)
-
-
 def _n1(eps: float, delta: float) -> int:
-    """:func:`compute_n1` on a checked budget."""
+    """First crossover: the last count whose keep probability still grows geometrically.
+
+    For a positive budget (0 < eps, 0 < delta <= 1), as :class:`OptPrimitive` derives it.
+    """
     return 1 + math.floor(_snap(crossover_exponent(eps, delta)))
 
 
 def _n2(eps: float, delta: float, em1: float, n1: int, pi_n1: float) -> int:
-    """:func:`compute_n2` on a checked budget; ``em1`` is ``_expm1(eps)``."""
+    """Second crossover: the last count before the keep probability saturates at 1.
+
+    For a positive budget, from the first crossover ``n1`` and its value
+    ``pi_n1``; ``em1`` is ``_expm1(eps)``.
+    """
     if pi_n1 >= 1.0:
         return n1
     ratio = em1 / delta
@@ -123,37 +109,38 @@ def _growth_value(eps: float, delta: float, em1: float, n: float) -> float:
 
 @dataclass(frozen=True)
 class OptPrimitive:
-    """Precomputed crossover state for O(1) evaluation of the keep probability.
+    """The optimal primitive of a budget, with its crossovers precomputed for O(1) evaluation.
 
-    ``n1``, ``n2`` and ``pi_n1`` are meaningful only for a positive budget
+    Built from ``params`` alone: ``n1``, ``n2`` and ``pi_n1`` follow from the
+    budget and cannot be set. They are meaningful only for a positive budget
     (effective epsilon > 0 and delta > 0); the degenerate budgets
     short-circuit inside :func:`pi_opt` and store zeros here.
     """
 
     params: PrivacyParams
-    n1: int
-    n2: int
-    pi_n1: float
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+    pi_n1: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # Constants of the budget that pi_opt reads on every evaluation. They
-        # are plain attributes, not fields, so the constructor, repr, == and
-        # hash see only the four fields above.
-        eps = self.params.effective_epsilon
-        object.__setattr__(self, "_eps", eps)
-        object.__setattr__(self, "_delta", self.params.effective_delta)
-        object.__setattr__(self, "_em1", _expm1(eps))
+        # One read of the budget gives the three fields and the constants that
+        # pi_opt reads on every evaluation. The constants are plain attributes,
+        # not fields, so repr, == and hash see only the four fields above. The
+        # instance dict is written directly, as a frozen dataclass refuses setattr.
+        eps, delta = self.params.effective_epsilon, self.params.effective_delta
+        em1 = _expm1(eps)
+        n1 = n2 = 0
+        pi_n1 = 0.0
+        if delta and eps:
+            n1 = _n1(eps, delta)
+            pi_n1 = _growth_value(eps, delta, em1, n1)
+            n2 = _n2(eps, delta, em1, n1, pi_n1)
+        self.__dict__.update(n1=n1, n2=n2, pi_n1=pi_n1, _eps=eps, _delta=delta, _em1=em1)
 
     @classmethod
     def from_params(cls, params: PrivacyParams) -> OptPrimitive:
-        eps, delta = params.effective_epsilon, params.effective_delta
-        if delta == 0.0 or eps == 0.0:
-            return cls(params=params, n1=0, n2=0, pi_n1=0.0)
-        _check_crossover_budget(eps, delta)
-        em1 = _expm1(eps)
-        n1 = _n1(eps, delta)
-        pi_n1 = _growth_value(eps, delta, em1, n1)
-        return cls(params=params, n1=n1, n2=_n2(eps, delta, em1, n1, pi_n1), pi_n1=pi_n1)
+        """The primitive of ``params``: the same as ``OptPrimitive(params)``."""
+        return cls(params)
 
 
 def pi_opt(prim: OptPrimitive, n: int) -> float:

@@ -58,7 +58,12 @@ def _opt_midpoint(params: PrivacyParams) -> int:
 
 def _lap_midpoint(params: PrivacyParams) -> int:
     lap = LaplacePrimitive.from_params(params)
-    return midpoint(lambda n: pi_laplace(lap, n))
+    return midpoint(lambda n: pi_laplace(lap, n), upper=_baseline_upper(lap))
+
+
+def _baseline_upper(prim) -> int:
+    """The CLI's search bound for a Laplace or Gaussian baseline."""
+    return math.ceil(prim.threshold) + math.ceil(64.0 / prim.epsilon)
 
 
 def test_c01_closed_form_matches_recursive_oracle():
@@ -195,10 +200,7 @@ def test_c09_gaussian_crossing():
     for kappa in range(1, 8):
         opt_mids[kappa] = _opt_midpoint(params.split(kappa))
         gauss = gaussian_primitive(params, kappa)
-        gauss_mids[kappa] = midpoint(
-            lambda n: pi_gaussian(gauss, n),
-            upper=math.ceil(gauss.threshold) + math.ceil(64.0 / gauss.epsilon),
-        )
+        gauss_mids[kappa] = midpoint(lambda n: pi_gaussian(gauss, n), upper=_baseline_upper(gauss))
     for kappa in (1, 2):
         assert opt_mids[kappa] < gauss_mids[kappa]
     for kappa in (4, 5, 6, 7):

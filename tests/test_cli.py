@@ -542,6 +542,31 @@ class TestSelect:
             assert result.exit_code == 2
             assert "dual mode requires" in result.output
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--seed", "-1"], "seed must be an integer in [0, 2^64), got -1"),
+            (["--seed", str(2**64)], f"seed must be an integer in [0, 2^64), got {2**64}"),
+            (["--mode", "dual", "--public-threshold", "99"],
+             "public threshold must be an integer in [-k, k] = [-11, 11], got 99"),
+            (["--mode", "release-counts", "--delta", "1"],
+             "effective delta must be in (0, 1), got 1.0"),
+        ],
+        ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1"],
+    )
+    def test_release_values_are_checked_before_ingest(self, runner, tmp_path, flags, message):
+        data = tmp_path / "rows.csv"
+        # This input breaks strict mode (exit 3) once ingested.
+        _write_input(data, [("u1", "k1"), ("u1", "k2")])
+        public = tmp_path / "public.txt"
+        public.write_text("k1\n", encoding="utf-8")
+        argv = ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5", *flags]
+        if "dual" in flags:
+            argv += ["--public-file", str(public)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+
     def test_dual_flags_outside_dual_mode_exit_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         _write_input(data, [("u1", "a")])

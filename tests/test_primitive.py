@@ -11,13 +11,11 @@ from partsel import (
     Neighboring,
     OptPrimitive,
     PrivacyParams,
-    compute_n1,
-    compute_n2,
     expected_output_size,
     pi_opt,
     pi_opt_many,
 )
-from partsel.primitive import _exp, _expm1, _snap, keep_threshold
+from partsel.primitive import _exp, _expm1, _n1, _n2, _snap, keep_threshold
 
 from oracles import delta_for_exact_threshold, pi_opt_recursive, pi_opt_recursive_sequence
 
@@ -34,21 +32,13 @@ def _prim(eps, delta, neighboring=Neighboring.ADD_REMOVE):
 
 class TestCrossovers:
     def test_first_crossover_spot_values(self):
-        assert compute_n1(PrivacyParams(1.0, 1e-5)) == N1_EPS1_DELTA1E5
-        assert compute_n1(PrivacyParams(0.1, 1e-10)) == N1_EPS01_DELTA1E10
+        assert _prim(1.0, 1e-5).n1 == N1_EPS1_DELTA1E5
+        assert _prim(0.1, 1e-10).n1 == N1_EPS01_DELTA1E10
 
     @pytest.mark.parametrize("eps", [0.3, 1.0, 4.0])
     def test_delta_one_collapses_first_crossover(self, eps):
         # the log argument is exactly 1, so the crossover sits at the first count
-        assert compute_n1(PrivacyParams(eps, 1.0)) == 1
-
-    def test_rejects_degenerate_budgets(self):
-        with pytest.raises(ValueError):
-            compute_n1(PrivacyParams(0.0, 1e-5))
-        with pytest.raises(ValueError):
-            compute_n1(PrivacyParams(1.0, 0.0))
-        with pytest.raises(ValueError):
-            compute_n2(PrivacyParams(0.0, 1e-5), 1, 0.5)
+        assert _prim(eps, 1.0).n1 == 1
 
     def test_second_crossover_at_exact_truncation_budget(self):
         # when the noise bound lands exactly on k, the second crossover is 2k+1
@@ -64,15 +54,18 @@ class TestCrossovers:
             assert 0 < prim.n1 <= prim.n2
 
     def test_from_params_builds_the_public_crossovers(self, budget_grid):
-        # from_params runs the bodies of compute_n1 and compute_n2 on one
-        # read of the budget; it must build exactly what they give.
+        # The primitive derives its crossovers from one read of the budget;
+        # they must be what the crossover formulas give on that budget.
         for params in budget_grid:
             for neighboring in Neighboring:
                 p = dataclasses.replace(params, neighboring=neighboring)
                 eps, delta = p.effective_epsilon, p.effective_delta
-                n1 = compute_n1(p)
+                n1 = _n1(eps, delta)
                 pi_n1 = min(1.0, delta * math.expm1(n1 * eps) / math.expm1(eps))
-                assert OptPrimitive.from_params(p) == OptPrimitive(p, n1, compute_n2(p, n1, pi_n1), pi_n1)
+                n2 = _n2(eps, delta, _expm1(eps), n1, pi_n1)
+                prim = OptPrimitive(p)
+                assert (prim.n1, prim.n2, prim.pi_n1) == (n1, n2, pi_n1)
+                assert prim == OptPrimitive.from_params(p)
 
     def test_snap_equals_its_plain_expression(self):
         # _snap skips math.ulp for values far from an integer; that must not
@@ -160,21 +153,24 @@ class TestClosedForm:
         ns = np.arange(prim.n2 + 4)
         assert pi_opt_many(prim, ns).tolist() == [pi_opt(prim, int(n)) for n in ns]
 
-    def test_direct_construction_keeps_the_four_fields(self, budget_grid):
-        # pi_opt reads constants that the primitive derives from its params.
-        # One built from the four fields must evaluate as from_params does,
-        # and repr, == and hash must see those four fields only.
+    def test_built_from_its_budget_alone(self, budget_grid):
+        # n1, n2 and pi_n1 follow from the budget: they cannot be passed or
+        # replaced, while repr, == and hash still see all four fields.
         extremes = [PrivacyParams(0.0, 1e-5), PrivacyParams(1.0, 0.0), PrivacyParams(800.0, 1e-5)]
         for params in [*budget_grid, *extremes]:
-            ref = OptPrimitive.from_params(params)
-            prim = OptPrimitive(params=params, n1=ref.n1, n2=ref.n2, pi_n1=ref.pi_n1)
-            ns = range(ref.n2 + 4)
-            assert [pi_opt(prim, n) for n in ns] == [pi_opt(ref, n) for n in ns]
-            assert prim == ref and hash(prim) == hash(ref)
-            assert dataclasses.replace(prim, n2=prim.n2 + 1) != ref
+            prim = OptPrimitive(params)
+            assert prim == OptPrimitive.from_params(params)
+            assert hash(prim) == hash(OptPrimitive.from_params(params))
             assert repr(prim) == (
-                f"OptPrimitive(params={params!r}, n1={ref.n1}, n2={ref.n2}, pi_n1={ref.pi_n1!r})"
+                f"OptPrimitive(params={params!r}, n1={prim.n1}, n2={prim.n2}, pi_n1={prim.pi_n1!r})"
             )
+            assert dataclasses.replace(prim) == prim
+            with pytest.raises(ValueError):
+                dataclasses.replace(prim, n2=prim.n2 + 1)
+        with pytest.raises(TypeError):
+            OptPrimitive(PrivacyParams(1.0, 1e-5), 0, 0, 1.0)
+        with pytest.raises(TypeError):
+            OptPrimitive(params=PrivacyParams(1.0, 1e-5), n1=0, n2=0, pi_n1=1.0)
         assert [f.name for f in dataclasses.fields(OptPrimitive)] == ["params", "n1", "n2", "pi_n1"]
 
     def test_negative_count_rejected(self):
@@ -226,7 +222,7 @@ class TestClosedForm:
     def test_subnormal_delta_crossover(self):
         # the log argument overflows for delta near the subnormal range;
         # exponent = ln((e-1)/(e+1)) + 310*ln(10) = 713.03
-        assert compute_n1(PrivacyParams(1.0, 1e-310)) == 714
+        assert _prim(1.0, 1e-310).n1 == 714
 
 
 class TestRecurrence:
