@@ -90,6 +90,12 @@ def ingest(
     earliest distinct partitions in input order (a non-private preprocessing
     convention). Each (user, partition) pair is counted at most once.
 
+    Slot i maps each user to their i-th distinct partition, and is added only
+    when some user first needs it, so work and memory follow the data, not the
+    bound. Past slot 1, a partition is held as the first copy of its string
+    met there, so those slots compare partitions by identity. The counts list
+    slot 1's partitions first, then those first met in slot 2, and so on.
+
     Given the rows of :func:`read_rows`, ingest reads the CSV in the same
     pass: a field of a csv row is always a string, so each row is checked
     only for two fields, both nonempty, and an error names its line. Rows
@@ -103,10 +109,9 @@ def ingest(
         )
     strict = mode is IngestMode.STRICT
     further = max_partitions_per_user - 1
-    # Each user's first partition, and the further ones that count (kappa > 1 only).
-    first: dict[str, str] = {}
-    more: dict[str, tuple[str, ...]] = {}
-    first_of = first.setdefault
+    first: dict[str, str] = {}  # slot 1
+    more: list[dict[str, str]] = []  # slots 2, 3, ...
+    first_of, shared = first.setdefault, {}.setdefault
     from_csv = isinstance(rows, _CsvRows)
     with rows.reader() if from_csv else contextlib.nullcontext(_checked(rows)) as pairs:
         for row in pairs:
@@ -121,18 +126,19 @@ def ingest(
                 raise _line_error(pairs)
             if first_of(user_id, partition) == partition:
                 continue
-            others = more.get(user_id, ())
-            if partition in others:
-                continue
-            if len(others) < further:
-                more[user_id] = others + (partition,)
-            elif strict:
-                raise StrictViolationError(
-                    f"user {user_id!r} contributes more than "
-                    f"{max_partitions_per_user} partition(s)"
-                )
-    counts = Counter(first.values())
-    counts.update(itertools.chain.from_iterable(more.values()))
+            partition = shared(partition, partition)
+            for slot in more:  # holding the user's partition, or free for it
+                if slot.setdefault(user_id, partition) is partition:
+                    break
+            else:
+                if len(more) < further:
+                    more.append({user_id: partition})
+                elif strict:
+                    raise StrictViolationError(
+                        f"user {user_id!r} contributes more than "
+                        f"{max_partitions_per_user} partition(s)"
+                    )
+    counts = Counter(itertools.chain(first.values(), *(slot.values() for slot in more)))
     hist = PartitionHistogram()
     hist._counts = counts
     return hist

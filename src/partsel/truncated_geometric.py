@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .params import PrivacyParams, is_int
+from .params import ConfigurationError, PrivacyParams, is_int
 from .primitive import _snap, crossover_exponent
 
 if TYPE_CHECKING:
@@ -37,8 +37,8 @@ class TsgdParams:
     c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
+        if not 0.0 < 1.0 - self.p < 1.0:  # 1 - p == 1 would zero the normaliser
+            raise ValueError(f"p must be in (0, 1) with 1 - p < 1 in binary64, got {self.p}")
         if not is_int(self.k) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not 0.0 < self.delta <= 1.0:
@@ -108,8 +108,9 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"effective delta must be in (0, 1), got {delta}")
     p = -math.expm1(-eps)
-    if p >= 1.0:  # eps >= ~38 rounds the success probability to exactly 1
-        raise ValueError(f"epsilon {eps} too large to represent the noise distribution in binary64")
+    if not 0.0 < 1.0 - p < 1.0:  # eps >= ~37.4 rounds p to 1, and eps <= 2^-54 rounds 1 - p to 1
+        size = "large" if p >= 1.0 else "small"
+        raise ConfigurationError(f"effective epsilon {eps} too {size} to represent the noise distribution in binary64")
     k = max(1, math.ceil(_snap(crossover_exponent(eps, delta))))
     return TsgdParams(p=p, k=k, delta=delta)
 

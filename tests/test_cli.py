@@ -551,8 +551,15 @@ class TestSelect:
              "public threshold must be an integer in [-k, k] = [-11, 11], got 99"),
             (["--mode", "release-counts", "--delta", "1"],
              "effective delta must be in (0, 1), got 1.0"),
+            # 1 - p rounds to 1 at these budgets: no noise distribution exists.
+            (["--mode", "release-counts", "--epsilon", "1e-17"],
+             "effective epsilon 1e-17 too small to represent the noise distribution in binary64"),
+            (["--mode", "dual", "--public-threshold", "0", "--epsilon", "3e-17", "--kappa", "3"],
+             "effective epsilon 9.999999999999999e-18 too small to represent the noise "
+             "distribution in binary64"),
         ],
-        ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1"],
+        ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
+             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3"],
     )
     def test_release_values_are_checked_before_ingest(self, runner, tmp_path, flags, message):
         data = tmp_path / "rows.csv"

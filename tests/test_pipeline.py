@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import io
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsel import (
@@ -109,22 +112,43 @@ class TestIngest:
         mode=st.sampled_from(list(IngestMode)),
     )
     def test_ingest_equals_pair_replay(self, rows, kappa, mode):
-        # oracle: replay the rows into a set of kept (user, partition) pairs
-        kept: set[tuple[str, str]] = set()
-        over_bound = False
-        for user, part in rows:
-            if (user, part) in kept:
-                continue
-            if sum(u == user for u, _ in kept) >= kappa:
-                over_bound = True
-                continue
-            kept.add((user, part))
-        if mode is IngestMode.STRICT and over_bound:
-            with pytest.raises(StrictViolationError):
-                ingest(rows, mode=mode, max_partitions_per_user=kappa)
-            return
-        hist = ingest(rows, mode=mode, max_partitions_per_user=kappa)
-        assert hist.counts() == Counter(part for _, part in kept)
+        _assert_ingest_replays(rows, rows, kappa, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([f"u{i}" for i in range(8)]),
+                st.sampled_from(["a", "b", "ab", "bb", "a,b", 'b"a']),
+            ),
+            max_size=120,
+        ),
+        kappa=st.integers(min_value=1, max_value=5),
+        mode=st.sampled_from(list(IngestMode)),
+    )
+    @example(rows=[("u1", "a"), ("u1", "bb"), ("u1", "bb")], kappa=2, mode=IngestMode.STRICT)
+    def test_csv_ingest_equals_pair_replay(self, rows, kappa, mode):
+        # Read back from a file, equal partitions of two or more characters
+        # are distinct string objects; CPython shares one-character strings.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                csv.writer(f).writerows([("user_id", "partition"), *rows])
+            _assert_ingest_replays(read_rows(path), rows, kappa, mode)
+
+    @pytest.mark.parametrize("mode", list(IngestMode))
+    def test_slots_follow_the_data_not_the_bound(self, mode):
+        # One slot per partition a user has, not per partition allowed: slots
+        # made up front for this bound would take about 64 MB.
+        rows = [("u1", "a"), ("u1", "bb"), ("u2", "bb"), ("u1", "ccc"), ("u2", "a"), ("u1", "bb")]
+        tracemalloc.start()
+        try:
+            hist = ingest(rows, mode=mode, max_partitions_per_user=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts() == _pair_replay(rows, 10**6)[0] == {"a": 2, "bb": 2, "ccc": 1}
+        assert peak < 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -153,6 +177,31 @@ class TestIngest:
             return selection.getvalue(), release.getvalue(), dual.getvalue()
 
         assert outputs(data.draw(st.permutations(rows))) == outputs(rows)
+
+
+def _pair_replay(rows, kappa: int) -> tuple[Counter, bool]:
+    """Oracle: the counts of the (user, partition) pairs kept in a replay of
+    ``rows``, and whether some user went past ``kappa`` partitions."""
+    kept: set[tuple[str, str]] = set()
+    over_bound = False
+    for user, part in rows:
+        if (user, part) in kept:
+            continue
+        if sum(u == user for u, _ in kept) >= kappa:
+            over_bound = True
+            continue
+        kept.add((user, part))
+    return Counter(part for _, part in kept), over_bound
+
+
+def _assert_ingest_replays(source, rows, kappa: int, mode: IngestMode) -> None:
+    """``ingest(source)`` counts what the replay of ``rows`` keeps, or raises for strict."""
+    counts, over_bound = _pair_replay(rows, kappa)
+    if mode is IngestMode.STRICT and over_bound:
+        with pytest.raises(StrictViolationError):
+            ingest(source, mode=mode, max_partitions_per_user=kappa)
+        return
+    assert ingest(source, mode=mode, max_partitions_per_user=kappa).counts() == counts
 
 
 class TestCsvReader:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from partsel import (
+    ConfigurationError,
+    Neighboring,
     OptPrimitive,
     PrivacyParams,
     TsgdParams,
@@ -103,6 +105,20 @@ class TestParams:
             TsgdParams(p=0.0, k=3)
         with pytest.raises(ValueError):
             TsgdParams(p=0.5, k=0)
+        for p in (1e-17, 2.0**-54):  # 1 - p rounds to 1: not a ZeroDivisionError
+            with pytest.raises(ValueError, match=rf"got {p}$"):
+                TsgdParams(p=p, k=3)
+
+    def test_budget_whose_one_minus_p_rounds_to_one_is_refused(self):
+        # eps <= 2^-54 rounds 1 - p to exactly 1, which would zero the pmf's
+        # normaliser; the next float up is the least epsilon with noise.
+        for eps in (1e-17, 5e-17, 2.0**-54):
+            with pytest.raises(ConfigurationError, match=rf"^effective epsilon {eps} too small"):
+                tsgd_params(PrivacyParams(eps, 1e-5))
+        with pytest.raises(ConfigurationError, match=r"^effective epsilon 1e-17 too small"):
+            tsgd_params(PrivacyParams(2e-17, 1e-5, Neighboring.REPLACE))
+        t = tsgd_params(PrivacyParams(math.nextafter(2.0**-54, 1.0), 1e-5))
+        assert 0.0 < t.c and t.delta_effective <= 1e-5
 
 
 class TestPmf:
