@@ -7,10 +7,9 @@ headline utility number used to compare strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .params import PrivacyParams, is_int
+from .params import PrivacyParams, _Record, _set, is_int
 
 
 # The Gaussian baseline needs three normal-distribution functions. They are
@@ -197,20 +196,20 @@ def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) ->
     return xf
 
 
-@dataclass(frozen=True)
-class LaplacePrimitive:
+class LaplacePrimitive(_Record):
     """Keep a partition when its Laplace-noised count clears a fixed threshold."""
 
-    epsilon: float
-    delta: float
-    threshold: float = field(init=False)
+    _args = ("epsilon", "delta")
+    __slots__ = _fields = (*_args, "threshold")
 
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        object.__setattr__(self, "threshold", 1.0 - math.log(2.0 * self.delta) / self.epsilon)
+    def __init__(self, epsilon: float, delta: float) -> None:
+        if not epsilon > 0.0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        _set(self, "epsilon", epsilon)
+        _set(self, "delta", delta)
+        _set(self, "threshold", 1.0 - math.log(2.0 * delta) / epsilon)
 
     @classmethod
     def from_params(cls, params: PrivacyParams) -> LaplacePrimitive:
@@ -229,16 +228,20 @@ def pi_laplace(prim: LaplacePrimitive, n: float) -> float:
     return 1.0 - 0.5 * math.exp(prim.epsilon * gap)
 
 
-@dataclass(frozen=True)
-class GaussianPrimitive:
+class GaussianPrimitive(_Record):
     """Gaussian-noise thresholding sized for a user touching ``kappa`` partitions."""
 
-    epsilon: float
-    delta_noise: float
-    delta_threshold: float
-    sigma: float
-    threshold: float
-    kappa: int
+    __slots__ = _args = _fields = ("epsilon", "delta_noise", "delta_threshold", "sigma", "threshold", "kappa")
+
+    def __init__(
+        self, epsilon: float, delta_noise: float, delta_threshold: float, sigma: float, threshold: float, kappa: int
+    ) -> None:
+        _set(self, "epsilon", epsilon)
+        _set(self, "delta_noise", delta_noise)
+        _set(self, "delta_threshold", delta_threshold)
+        _set(self, "sigma", sigma)
+        _set(self, "threshold", threshold)
+        _set(self, "kappa", kappa)
 
 
 def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> float:

@@ -1,8 +1,9 @@
 """Command line interface: probability curves, midpoint sweeps, and release runs.
 
-Start-up loads only what every command needs. Each command imports the rest
-itself: ``probs``, ``midpoints`` and ``kappa`` the baselines, ``select`` the
-pipeline. No command loads numpy.
+Start-up loads only what every command needs: ``argparse``, ``csv``, and the
+package's ``params`` and ``primitive``. Each command imports the rest itself:
+``probs``, ``midpoints`` and ``kappa`` the baselines, ``select`` the
+pipeline. No command loads numpy, nor ``dataclasses`` or ``inspect``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 
 class ConfigurationError(ValueError):
@@ -36,8 +35,52 @@ class Neighboring(enum.Enum):
 _REPLACE = Neighboring.REPLACE
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
+# Sets an attribute of a _Record, whose own __setattr__ refuses.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value classes: ``==``, ``hash`` and ``repr`` by field.
+
+    A subclass names its constructor's arguments in ``_args`` and every value
+    ``==``, ``hash`` and ``repr`` see in ``_fields``, the arguments first. Its
+    ``__init__`` checks the arguments and sets each value with :data:`_set`, or
+    in its instance dict when it has no ``__slots__``: assigning or deleting an
+    attribute afterwards raises ``AttributeError``. Pickle and copy rebuild
+    through the constructor, so every copy is checked again. The repr is a
+    frozen dataclass's.
+    """
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
+class PrivacyParams(_Record):
     """An (epsilon, delta) differential privacy budget.
 
     Replacing one user is equivalent to removing them and adding another, so
@@ -45,17 +88,18 @@ class PrivacyParams:
     is half the nominal one.
     """
 
-    epsilon: float
-    delta: float
-    neighboring: Neighboring = Neighboring.ADD_REMOVE
+    __slots__ = _args = _fields = ("epsilon", "delta", "neighboring")
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.epsilon) or math.isinf(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if math.isnan(self.delta) or not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if not isinstance(self.neighboring, Neighboring):
-            raise ValueError(f"neighboring must be a Neighboring value, got {self.neighboring!r}")
+    def __init__(self, epsilon: float, delta: float, neighboring: Neighboring = Neighboring.ADD_REMOVE) -> None:
+        if math.isnan(epsilon) or math.isinf(epsilon) or epsilon < 0.0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+        if math.isnan(delta) or not 0.0 <= delta <= 1.0:
+            raise ValueError(f"delta must be in [0, 1], got {delta}")
+        if not isinstance(neighboring, Neighboring):
+            raise ValueError(f"neighboring must be a Neighboring value, got {neighboring!r}")
+        _set(self, "epsilon", epsilon)
+        _set(self, "delta", delta)
+        _set(self, "neighboring", neighboring)
 
     @property
     def effective_epsilon(self) -> float:

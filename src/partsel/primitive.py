@@ -11,10 +11,9 @@ not part of the package: it is the tests' reference oracle, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .params import PrivacyParams
+from .params import PrivacyParams, _Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,8 +106,7 @@ def _growth_value(eps: float, delta: float, em1: float, n: float) -> float:
     return value if value < 1.0 else 1.0  # min(1.0, value), NaN included, without the call
 
 
-@dataclass(frozen=True)
-class OptPrimitive:
+class OptPrimitive(_Record):
     """The optimal primitive of a budget, with its crossovers precomputed for O(1) evaluation.
 
     Built from ``params`` alone: ``n1``, ``n2`` and ``pi_n1`` follow from the
@@ -117,17 +115,15 @@ class OptPrimitive:
     short-circuit inside :func:`pi_opt` and store zeros here.
     """
 
-    params: PrivacyParams
-    n1: int = field(init=False)
-    n2: int = field(init=False)
-    pi_n1: float = field(init=False)
+    _args = ("params",)
+    _fields = (*_args, "n1", "n2", "pi_n1")
+    __slots__ = (*_fields, "_eps", "_delta", "_em1")
 
-    def __post_init__(self) -> None:
+    def __init__(self, params: PrivacyParams) -> None:
         # One read of the budget gives the three fields and the constants that
-        # pi_opt reads on every evaluation. The constants are plain attributes,
-        # not fields, so repr, == and hash see only the four fields above. The
-        # instance dict is written directly, as a frozen dataclass refuses setattr.
-        eps, delta = self.params.effective_epsilon, self.params.effective_delta
+        # pi_opt reads on every evaluation. The constants are not fields, so
+        # repr, == and hash see only the four fields above.
+        eps, delta = params.effective_epsilon, params.effective_delta
         em1 = _expm1(eps)
         n1 = n2 = 0
         pi_n1 = 0.0
@@ -135,7 +131,13 @@ class OptPrimitive:
             n1 = _n1(eps, delta)
             pi_n1 = _growth_value(eps, delta, em1, n1)
             n2 = _n2(eps, delta, em1, n1, pi_n1)
-        self.__dict__.update(n1=n1, n2=n2, pi_n1=pi_n1, _eps=eps, _delta=delta, _em1=em1)
+        _set(self, "params", params)
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
+        _set(self, "pi_n1", pi_n1)
+        _set(self, "_eps", eps)
+        _set(self, "_delta", delta)
+        _set(self, "_em1", em1)
 
     @classmethod
     def from_params(cls, params: PrivacyParams) -> OptPrimitive:

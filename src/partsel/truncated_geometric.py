@@ -11,40 +11,37 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .params import ConfigurationError, PrivacyParams, is_int
+from .params import ConfigurationError, PrivacyParams, _Record, is_int
 from .primitive import _snap, crossover_exponent
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class TsgdParams:
+class TsgdParams(_Record):
     """Success probability ``p`` and truncation bound ``k``; ``c`` normalizes the pmf.
 
     ``delta`` caps the realised probability of the outcome +k, the only one a
     count of one user can be released on: :func:`tsgd_params` sets it to the
-    budget's effective delta, and the default 1 caps nothing.
+    budget's effective delta, and the default 1 caps nothing. The class has no
+    ``__slots__``: the cached ``_bounds`` lives in the instance dict.
     """
 
-    p: float
-    k: int
-    delta: float = 1.0
-    c: float = field(init=False)
+    _args = ("p", "k", "delta")
+    _fields = (*_args, "c")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < 1.0 - self.p < 1.0:  # 1 - p == 1 would zero the normaliser
-            raise ValueError(f"p must be in (0, 1) with 1 - p < 1 in binary64, got {self.p}")
-        if not is_int(self.k) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        q = 1.0 - self.p
-        object.__setattr__(self, "c", self.p / (1.0 + q - 2.0 * q ** (self.k + 1)))
+    def __init__(self, p: float, k: int, delta: float = 1.0) -> None:
+        if not 0.0 < 1.0 - p < 1.0:  # 1 - p == 1 would zero the normaliser
+            raise ValueError(f"p must be in (0, 1) with 1 - p < 1 in binary64, got {p}")
+        if not is_int(k) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must be in (0, 1], got {delta}")
+        q = 1.0 - p
+        self.__dict__.update(p=p, k=k, delta=delta, c=p / (1.0 + q - 2.0 * q ** (k + 1)))
 
     @property
     def eps(self) -> float:

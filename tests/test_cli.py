@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -589,24 +591,6 @@ class TestSelect:
                 assert result.exit_code == 2
                 assert "--mode dual" in result.output
 
-    def test_select_never_imports_scipy(self, tmp_path):
-        out = ["--out", str(tmp_path / "out")]
-        argvs = [
-            *_select_argvs(tmp_path),
-            ["midpoints", "--sweep", "eps", "--points", "3", *out],
-            ["midpoints", "--sweep", "delta", "--points", "3", *out],
-        ]
-        assert _modules_after(["numpy", "scipy"], argvs) == []
-
-    def test_select_and_help_never_import_numpy(self, tmp_path):
-        out = ["--out", str(tmp_path / "out")]
-        budget = ["--epsilon", "1", "--delta", "1e-5"]
-        argvs = [
-            *_select_argvs(tmp_path),
-            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace")),
-        ]
-        assert _modules_after(["numpy", "scipy"], argvs) == []
-
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
         _write_input(data, [("u1", "a"), ("u1", "b"), ("u2", "a")])
@@ -664,19 +648,127 @@ class TestUsageErrors:
         assert _CONFLICT_MODES == tuple(m.value for m in IngestMode)
 
 
+# A generated `select` run: mostly well-formed rows and arguments, with quoted
+# keys, keys with line breaks, CR/LF mixes, malformed CSV, NUL, byte-order
+# marks, invalid UTF-8, strict violations and extreme budgets among them.
+_ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])
+
+
+def _mostly(common: list, rare: list) -> st.SearchStrategy:
+    """One of ``common`` seven times in eight, else one of ``rare``."""
+    return _ONE_IN_EIGHT.flatmap(lambda rarely: st.sampled_from(rare if rarely else common))
+
+
+_ROW = st.builds(
+    lambda user, key: user + b"," + key,
+    st.sampled_from([b"u1", b"u2", b"u3", b"u4", b'"u,5"']),
+    _mostly([b"k1", b"k2", b"k3"], [b'"k""4"', b'"k\r\n5"', b"\xc3\xa9"]),
+)
+_JUNK = st.sampled_from(
+    [b'"', b'u1,"k1', b'u1,k"1', b"u1", b"u1,k1,x", b",k1", b"u1,", b"\x00", b"u\x001,k1",
+     b"\xff\xfe", b"\xc3", b"\xef\xbb\xbfu1,k1"]
+)
+_LINE = st.tuples(
+    _ONE_IN_EIGHT.flatmap(lambda junk: _JUNK if junk else _ROW), st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n"])
+)
+_BODY = st.builds(
+    lambda header, lines: header + b"".join(line + eol for line, eol in lines),
+    _mostly(
+        [b"user_id,partition\n", b"user_id,partition\r\n"],
+        [b"\xef\xbb\xbfuser_id,partition\n", b"user,partition\n", b""],
+    ),
+    st.lists(_LINE, max_size=10),
+)
+_PUBLIC = st.builds(
+    b"".join,
+    st.lists(_mostly([b"k1\n", b"k2\r\n", b"absent\n", b"\n"], [b"\xef\xbb\xbfk1\n", b"\xff\n"]), max_size=4),
+)
+
+
+# Option values of a generated `select` run: the common ones, and the rare
+# ones, extreme or invalid, of which a run takes at most two.
+_COMMON = {
+    "epsilon": ["1", "0.5", "3"],
+    "delta": ["1e-5", "0.1"],
+    "kappa": [None, "2", "3"],
+    "seed": [None, "7"],
+    "public-threshold": ["0", "1"],
+}
+_RARE = {
+    "epsilon": ["0", "-1", "1e-17", "2e-16", "1e-300", "5e-324", "37", "40", "1e300", "inf", "nan"],
+    "delta": ["0", "1", "1e-300", "-1e-9", "2", "nan"],
+    "kappa": ["0", "-1", "1000000"],
+    "seed": ["-1", str(2**64), str(2**200)],
+    "public-threshold": ["-3", "99", str(-(10**7))],
+}
+
+
+@st.composite
+def _select_args(draw) -> tuple[list[str], bytes | None]:
+    """The options of a `select` run, and its public file's bytes or None.
+
+    Each option is written --flag=value, so that argparse takes a value such
+    as "-1e-9" for a value and not for an option.
+    """
+    rare = draw(st.sets(st.sampled_from(sorted(_RARE)), max_size=2))
+    options = {name: draw(st.sampled_from((_RARE if name in rare else _COMMON)[name])) for name in _COMMON}
+    options["mode"] = mode = draw(st.sampled_from(["select", "release-counts", "dual"]))
+    options["conflict"] = draw(st.sampled_from([None, "first-wins"]))
+    options["neighboring"] = draw(st.sampled_from([None, "replace"]))
+    # One run in eight has the dual flags where they do not belong, or lacks them.
+    dual = (mode == "dual") != draw(_ONE_IN_EIGHT)
+    if not dual:
+        del options["public-threshold"]
+    public = draw(_PUBLIC) if dual and not draw(_ONE_IN_EIGHT) else None
+    return [f"--{flag}={value}" for flag, value in options.items() if value is not None], public
+
+
+class TestExitStatus:
+    """Whatever the input, public file and arguments, `select` exits 0, 2 or 3."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=_BODY, args=_select_args())
+    @example(
+        body=b"user_id,partition\nu1,k1\n",
+        args=(["--mode=release-counts", "--epsilon=1e-17", "--delta=1e-5"], None),
+    )
+    def test_exit_is_0_2_or_3_and_a_failure_writes_nothing(self, body, args):
+        options, public = args
+        with tempfile.TemporaryDirectory() as tmp:
+            data, out = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "out")
+            Path(data).write_bytes(body)
+            argv = ["select", "--input", data, *options, "--out", out]
+            if public is not None:
+                Path(tmp, "public.txt").write_bytes(public)
+                argv.append(f"--public-file={os.path.join(tmp, 'public.txt')}")
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 2, 3)
+            if code:
+                assert stderr.getvalue().startswith("error:")
+                assert not os.path.exists(out)
+            else:
+                assert stderr.getvalue() == ""
+                assert os.path.exists(out)
+
+
 class TestImports:
     """Each command loads only the modules it needs."""
 
-    def test_no_command_loads_click(self, tmp_path):
+    def test_no_command_loads_a_heavy_module(self, tmp_path):
+        # dataclasses loads inspect, ast, dis and tokenize; click, numpy and
+        # scipy are not runtime dependencies at all.
         out = ["--out", str(tmp_path / "out")]
         budget = ["--epsilon", "1", "--delta", "1e-5"]
         argvs = [
             *_select_argvs(tmp_path),
             *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
             ["midpoints", "--sweep", "eps", "--points", "3", *out],
+            ["midpoints", "--sweep", "delta", "--points", "3", *out],
             ["kappa", *budget, "--kappa-max", "2", *out],
         ]
-        assert _modules_after(["click"], argvs) == []
+        assert _modules_after(["click", "dataclasses", "inspect", "numpy", "scipy"], argvs) == []
 
     def test_help_and_select_load_no_baselines(self, tmp_path):
         assert "partsel.baselines" not in _modules_after(["partsel"], _select_argvs(tmp_path))

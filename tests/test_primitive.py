@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 from fractions import Fraction
 
@@ -58,7 +58,7 @@ class TestCrossovers:
         # they must be what the crossover formulas give on that budget.
         for params in budget_grid:
             for neighboring in Neighboring:
-                p = dataclasses.replace(params, neighboring=neighboring)
+                p = PrivacyParams(params.epsilon, params.delta, neighboring)
                 eps, delta = p.effective_epsilon, p.effective_delta
                 n1 = _n1(eps, delta)
                 pi_n1 = min(1.0, delta * math.expm1(n1 * eps) / math.expm1(eps))
@@ -155,7 +155,8 @@ class TestClosedForm:
 
     def test_built_from_its_budget_alone(self, budget_grid):
         # n1, n2 and pi_n1 follow from the budget: they cannot be passed or
-        # replaced, while repr, == and hash still see all four fields.
+        # set, while repr, == and hash still see all four fields, and a copy is
+        # rebuilt from the budget.
         extremes = [PrivacyParams(0.0, 1e-5), PrivacyParams(1.0, 0.0), PrivacyParams(800.0, 1e-5)]
         for params in [*budget_grid, *extremes]:
             prim = OptPrimitive(params)
@@ -164,14 +165,14 @@ class TestClosedForm:
             assert repr(prim) == (
                 f"OptPrimitive(params={params!r}, n1={prim.n1}, n2={prim.n2}, pi_n1={prim.pi_n1!r})"
             )
-            assert dataclasses.replace(prim) == prim
-            with pytest.raises(ValueError):
-                dataclasses.replace(prim, n2=prim.n2 + 1)
+            assert copy.copy(prim) == prim
+            for name in ("n1", "n2", "pi_n1"):
+                with pytest.raises(AttributeError):
+                    setattr(prim, name, getattr(prim, name) + 1)
         with pytest.raises(TypeError):
             OptPrimitive(PrivacyParams(1.0, 1e-5), 0, 0, 1.0)
         with pytest.raises(TypeError):
             OptPrimitive(params=PrivacyParams(1.0, 1e-5), n1=0, n2=0, pi_n1=1.0)
-        assert [f.name for f in dataclasses.fields(OptPrimitive)] == ["params", "n1", "n2", "pi_n1"]
 
     def test_negative_count_rejected(self):
         prim = _prim(1.0, 1e-5)
