@@ -39,6 +39,7 @@ _MODULES = {
         "dual_threshold_release",
         "ingest",
         "read_rows",
+        "release",
         "select_partitions",
         "thresholded_release",
         "write_release",

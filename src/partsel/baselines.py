@@ -207,9 +207,12 @@ class LaplacePrimitive(_Record):
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
+        threshold = 1.0 - math.log(2.0 * delta) / epsilon
+        if math.isinf(threshold):
+            raise ValueError(f"epsilon {epsilon} too small: the Laplace threshold at delta {delta} overflows binary64")
         _set(self, "epsilon", epsilon)
         _set(self, "delta", delta)
-        _set(self, "threshold", 1.0 - math.log(2.0 * delta) / epsilon)
+        _set(self, "threshold", threshold)
 
     @classmethod
     def from_params(cls, params: PrivacyParams) -> LaplacePrimitive:

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Callable, Iterator, TextIO
 
-from .params import ConfigurationError, InputFormatError, Neighboring, PrivacyParams, StrictViolationError
+from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, pi_opt
 
 # The values of pipeline.IngestMode, spelled out so that parsing the command
@@ -80,6 +80,15 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+# The most rows a probs table may have when --n-max does not set its size.
+_DEFAULT_ROWS_LIMIT = 10**6
+
+
+def _ceil(x: float) -> int | float:
+    """``math.ceil(x)``, with inf and nan passed through instead of raising."""
+    return math.ceil(x) if math.isfinite(x) else x
+
+
 def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
     """Tabulate the keep probability pi(n) for one strategy."""
     from . import baselines
@@ -88,24 +97,33 @@ def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
     if strategy == "opt":
         prim = OptPrimitive.from_params(params)
         evaluate = lambda n: pi_opt(prim, n)
-        default_max = prim.n2 + 5 if params.effective_delta and params.effective_epsilon else 100
+        default_max = lambda: prim.n2 + 5 if params.effective_delta and params.effective_epsilon else 100
     elif strategy == "laplace":
         lap = baselines.LaplacePrimitive.from_params(params)
         evaluate = lambda n: baselines.pi_laplace(lap, n)
-        default_max = math.ceil(lap.threshold) + math.ceil(5.0 / lap.epsilon)
+        default_max = lambda: _ceil(lap.threshold) + _ceil(5.0 / lap.epsilon)
     else:
         gauss = baselines.gaussian_primitive(params, kappa)
         evaluate = lambda n: baselines.pi_gaussian(gauss, n)
-        default_max = math.ceil(gauss.threshold + 5.0 * gauss.sigma)
-    top = n_max if n_max is not None else default_max
-    if top < 0:
-        raise ConfigurationError(f"--n-max must be >= 0, got {top}")
-    _write_csv(out, ["n", "prob"], ((n, _fmt(evaluate(n))) for n in range(top + 1)))
+        default_max = lambda: _ceil(gauss.threshold + 5.0 * gauss.sigma)
+    if n_max is None:
+        n_max = default_max()
+        if not n_max < _DEFAULT_ROWS_LIMIT:
+            raise ConfigurationError(
+                f"the default table would have more than {_DEFAULT_ROWS_LIMIT} rows; "
+                "choose its last count with --n-max"
+            )
+    elif n_max < 0:
+        raise ConfigurationError(f"--n-max must be >= 0, got {n_max}")
+    _write_csv(out, ["n", "prob"], ((n, _fmt(evaluate(n))) for n in range(n_max + 1)))
 
 
 def _baseline_upper(baseline) -> int:
     """Search bound for a Laplace or Gaussian baseline: 64 / epsilon counts past its threshold."""
-    return math.ceil(baseline.threshold) + math.ceil(64.0 / baseline.epsilon)
+    span = 64.0 / baseline.epsilon
+    if math.isinf(span):
+        raise ConfigurationError(f"epsilon {baseline.epsilon} too small: the search bound 64 / epsilon overflows binary64")
+    return math.ceil(baseline.threshold) + math.ceil(span)
 
 
 def _percentile_row(params: PrivacyParams) -> list[int]:
@@ -203,50 +221,14 @@ def select(
 ) -> None:
     """Run the private release pipeline over a user_id,partition CSV."""
     from . import pipeline
-    from .truncated_geometric import tsgd_params
 
-    if mode != "dual" and (public_file is not None or public_threshold is not None):
-        raise ConfigurationError(
-            "--public-file and --public-threshold apply only to --mode dual"
-        )
-    if mode == "dual" and (public_file is None or public_threshold is None):
-        raise ConfigurationError("dual mode requires --public-file and --public-threshold")
-    params = _params(epsilon, delta, neighboring).split(kappa)
-    # The release functions' own checks, and the public keys, come before the
-    # input is ingested, so that a bad value fails on any input with exit 2.
-    pipeline._check_seed(seed)
-    public = None
-    if mode != "select":
-        noise = tsgd_params(params)  # refuses a budget the count modes cannot honour
-        if mode == "dual":
-            pipeline._check_public_threshold(public_threshold, noise.k)
-            public = pipeline.read_keys(public_file)
-    hist = pipeline.ingest(
-        pipeline.read_rows(input_path),
-        mode=pipeline.IngestMode(conflict),
-        max_partitions_per_user=kappa,
+    public = pipeline.read_keys(public_file) if public_file is not None else None
+    released = pipeline.release(
+        pipeline.read_rows(input_path), _params(epsilon, delta, neighboring), mode,
+        kappa=kappa, conflict=conflict, seed=seed, public_keys=public, public_threshold=public_threshold,
     )
-    if mode == "select":
-        # One key per line cannot hold a key with a line break. Checking every
-        # present key, not only the kept ones, keeps the exit status a
-        # function of the input alone.
-        for key in hist.keys():
-            if "\n" in key or "\r" in key:
-                raise InputFormatError(
-                    f"partition key {key!r} contains a line break, which select mode's "
-                    "one-key-per-line output cannot hold; --mode release-counts writes it as CSV"
-                )
-        prim = OptPrimitive.from_params(params)
-        kept = pipeline.select_partitions(hist, prim, seed)
-        with _output(out) as f:
-            pipeline.write_selection(kept, f)
-        return
-    if mode == "release-counts":
-        released = pipeline.thresholded_release(hist, params, seed)
-    else:
-        released = pipeline.dual_threshold_release(hist, public, params, public_threshold, seed)
     with _output(out) as f:
-        pipeline.write_release(released, f)
+        (pipeline.write_selection if mode == "select" else pipeline.write_release)(released, f)
 
 
 def _command(commands, name: str, run: Callable[..., None]) -> argparse.ArgumentParser:

@@ -18,6 +18,10 @@ least uniform whose noise clears the bound). The seed check, the MAC and the
 shifts between the 64-bit digest and the 53-bit uniform live only there.
 Only the released keys are kept, and only they have their noise inverted
 from the integer CDF bounds.
+
+:func:`release` runs one release end to end, as ``partsel select`` does: it
+checks its arguments, splits the nominal budget by the contribution bound it
+ingests with, and calls the mode's function.
 """
 
 from __future__ import annotations
@@ -276,6 +280,15 @@ def _check_public_threshold(public_threshold: int, k: int) -> None:
         )
 
 
+def _key_set(keys: Iterable[str]) -> set[str]:
+    """The public keys as a set, each a nonempty string."""
+    public = set(keys)
+    for key in public:
+        if not isinstance(key, str) or not key:
+            raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
+    return public
+
+
 def _hits(
     pairs: Iterable[tuple[str, int]],
     cut: Callable[[int], int],
@@ -355,10 +368,7 @@ def dual_threshold_release(
     """
     noise = tsgd_params(params)
     _check_public_threshold(public_threshold, noise.k)
-    public = set(public_keys)
-    for key in public:
-        if not isinstance(key, str) or not key:
-            raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
+    public = _key_set(public_keys)
     counts = hist._counts
     private = ((key, n) for key, n in counts.items() if key not in public)
     # The private and public keys are disjoint, so one dict holds both releases.
@@ -366,6 +376,55 @@ def dual_threshold_release(
     public_ns = ((key, counts.get(key, 0)) for key in public)
     released.update(_noisy_above(noise, public_ns, public_threshold, seed, b"dual"))
     return released
+
+
+def release(
+    rows: Iterable[tuple[str, str]], params: PrivacyParams, mode: str = "select", *,
+    kappa: int = 1, conflict: IngestMode | str = IngestMode.STRICT, seed: int = 0,
+    public_keys: Iterable[str] | None = None, public_threshold: int | None = None,
+) -> set[str] | dict[str, int]:
+    """One private release over ``rows``: the kept keys, or {key: noisy count}.
+
+    ``params`` is the nominal budget. Ingest bounds each user at ``kappa``
+    partitions, by the ``conflict`` policy (an :class:`IngestMode` or its
+    value), and each partition's decision spends ``params.split(kappa)``: the
+    bound and the split come from the same ``kappa``. ``mode`` is ``"select"``
+    (:func:`select_partitions`), ``"release-counts"``
+    (:func:`thresholded_release`) or ``"dual"`` (:func:`dual_threshold_release`),
+    which alone takes ``public_keys`` and ``public_threshold``, and needs both.
+
+    Every argument is checked before the first row is read, so a bad one
+    raises on any input. Select mode refuses a present key with a line break,
+    which its one-key-per-line output cannot hold.
+    """
+    if mode not in ("select", "release-counts", "dual"):
+        raise ConfigurationError(f"mode must be one of select, release-counts, dual, got {mode!r}")
+    dual = mode == "dual"
+    if not dual and (public_keys is not None or public_threshold is not None):
+        raise ConfigurationError("public keys and a public threshold apply only to dual mode")
+    if dual and (public_keys is None or public_threshold is None):
+        raise ConfigurationError("dual mode requires public keys and a public threshold")
+    _check_seed(seed)
+    conflict, share = IngestMode(conflict), params.split(kappa)
+    if mode == "select":
+        prim = OptPrimitive(share)
+    else:
+        noise = tsgd_params(share)  # refuses a budget the count modes cannot honour
+        if dual:
+            _check_public_threshold(public_threshold, noise.k)
+            public_keys = _key_set(public_keys)
+    hist = ingest(rows, conflict, kappa)
+    if mode == "select":
+        for key in hist._counts:  # every present key, so the refusal depends on the input alone
+            if "\n" in key or "\r" in key:
+                raise InputFormatError(
+                    f"partition key {key!r} contains a line break, which select mode's "
+                    "one-key-per-line output cannot hold; release-counts mode writes it as CSV"
+                )
+        return select_partitions(hist, prim, seed)
+    if dual:
+        return dual_threshold_release(hist, public_keys, share, public_threshold, seed)
+    return thresholded_release(hist, share, seed)
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .params import PrivacyParams, _Record, _set
+from .params import ConfigurationError, PrivacyParams, _Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,12 +67,26 @@ def crossover_exponent(epsilon: float, delta: float) -> float:
     return math.log1p(arg) / epsilon
 
 
+def _floor_count(x: float, eps: float, delta: float) -> int:
+    """``floor(_snap(x))`` for a crossover term ``x`` of the budget (eps, delta).
+
+    Both epsilon and delta at or below about 1e-308 put an infinite term in
+    binary64, which has no count; that budget is refused.
+    """
+    if math.isinf(x):
+        raise ConfigurationError(
+            f"effective budget (epsilon {eps}, delta {delta}) too small: the crossover "
+            "counts of the optimal primitive overflow binary64"
+        )
+    return math.floor(_snap(x))
+
+
 def _n1(eps: float, delta: float) -> int:
     """First crossover: the last count whose keep probability still grows geometrically.
 
     For a positive budget (0 < eps, 0 < delta <= 1), as :class:`OptPrimitive` derives it.
     """
-    return 1 + math.floor(_snap(crossover_exponent(eps, delta)))
+    return 1 + _floor_count(crossover_exponent(eps, delta), eps, delta)
 
 
 def _n2(eps: float, delta: float, em1: float, n1: int, pi_n1: float) -> int:
@@ -90,7 +104,7 @@ def _n2(eps: float, delta: float, em1: float, n1: int, pi_n1: float) -> int:
         grow = (log_em1 - math.log(delta) + math.log1p(-pi_n1)) / eps
     else:
         grow = math.log1p(ratio * (1.0 - pi_n1)) / eps
-    return n1 + math.floor(_snap(grow))
+    return n1 + _floor_count(grow, eps, delta)
 
 
 def _growth_value(eps: float, delta: float, em1: float, n: float) -> float:
@@ -112,7 +126,8 @@ class OptPrimitive(_Record):
     Built from ``params`` alone: ``n1``, ``n2`` and ``pi_n1`` follow from the
     budget and cannot be set. They are meaningful only for a positive budget
     (effective epsilon > 0 and delta > 0); the degenerate budgets
-    short-circuit inside :func:`pi_opt` and store zeros here.
+    short-circuit inside :func:`pi_opt` and store zeros here. A budget whose
+    crossovers binary64 cannot hold raises :class:`ConfigurationError`.
     """
 
     _args = ("params",)

@@ -559,9 +559,13 @@ class TestSelect:
             (["--mode", "dual", "--public-threshold", "0", "--epsilon", "3e-17", "--kappa", "3"],
              "effective epsilon 9.999999999999999e-18 too small to represent the noise "
              "distribution in binary64"),
+            # Both ends subnormal: the crossover counts overflow binary64.
+            (["--epsilon", "5e-324", "--delta", "5e-324"],
+             "effective budget (epsilon 5e-324, delta 5e-324) too small: the crossover counts "
+             "of the optimal primitive overflow binary64"),
         ],
         ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
-             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3"],
+             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget"],
     )
     def test_release_values_are_checked_before_ingest(self, runner, tmp_path, flags, message):
         data = tmp_path / "rows.csv"
@@ -589,7 +593,7 @@ class TestSelect:
                      "--delta", "1e-5", *flag],
                 )
                 assert result.exit_code == 2
-                assert "--mode dual" in result.output
+                assert "only to dual mode" in result.output
 
     def test_kappa_divides_budget_and_relaxes_bound(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
@@ -696,7 +700,7 @@ _COMMON = {
 }
 _RARE = {
     "epsilon": ["0", "-1", "1e-17", "2e-16", "1e-300", "5e-324", "37", "40", "1e300", "inf", "nan"],
-    "delta": ["0", "1", "1e-300", "-1e-9", "2", "nan"],
+    "delta": ["0", "1", "1e-300", "1e-310", "5e-324", "-1e-9", "2", "nan"],
     "kappa": ["0", "-1", "1000000"],
     "seed": ["-1", str(2**64), str(2**200)],
     "public-threshold": ["-3", "99", str(-(10**7))],
@@ -723,8 +727,68 @@ def _select_args(draw) -> tuple[list[str], bytes | None]:
     return [f"--{flag}={value}" for flag, value in options.items() if value is not None], public
 
 
+# Option values of a generated `probs`, `midpoints` or `kappa` run, by the
+# same rule. --n-max, --points and --kappa-max stay small, so no table is long.
+_TABLE_COMMON = {
+    "epsilon": _COMMON["epsilon"],
+    "delta": _COMMON["delta"],
+    "n-max": ["0", "5", "12"],
+    "kappa": [None, "2", "3"],
+    "points": ["1", "2", "3"],
+    "grid-min": [None, "0.1"],
+    "grid-max": [None, "2"],
+    "kappa-max": ["1", "2", "3"],
+}
+_TABLE_RARE = {
+    "epsilon": _RARE["epsilon"],
+    "delta": _RARE["delta"],
+    "n-max": ["-1"],
+    "kappa": _RARE["kappa"],
+    "points": ["0", "-1"],
+    "grid-min": ["0", "-1", "5e-324", "1e-300", "1e300", "inf", "nan"],
+    "grid-max": ["0", "-1", "5e-324", "1e-300", "1e300", "inf", "nan"],
+    "kappa-max": ["0", "-1"],
+}
+_TABLE_OPTIONS = {
+    "probs": ("epsilon", "delta", "n-max", "kappa"),
+    "midpoints": ("epsilon", "delta", "points", "grid-min", "grid-max"),
+    "kappa": ("epsilon", "delta", "kappa-max"),
+}
+
+
+@st.composite
+def _table_argv(draw) -> list[str]:
+    """The command and options of a `probs`, `midpoints` or `kappa` run."""
+    command = draw(st.sampled_from(sorted(_TABLE_OPTIONS)))
+    names = _TABLE_OPTIONS[command]
+    rare = draw(st.sets(st.sampled_from(names), max_size=2))
+    options = {name: draw(st.sampled_from((_TABLE_RARE if name in rare else _TABLE_COMMON)[name])) for name in names}
+    if command == "probs":
+        options["strategy"] = draw(st.sampled_from(["opt", "laplace", "gauss"]))
+    if command == "midpoints":
+        options["sweep"] = draw(st.sampled_from(["eps", "delta"]))
+    options["neighboring"] = draw(st.sampled_from([None, "replace"]))
+    return [command, *(f"--{flag}={value}" for flag, value in options.items() if value is not None)]
+
+
+def _exit_and_output(argv: list[str], out: str) -> int:
+    """``main(argv)``'s exit status, after checking what the run left: a failure
+    writes stderr starting ``error:`` and no ``out``, a success ``out`` and no stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", out])
+    if code:
+        assert stderr.getvalue().startswith("error:")
+        assert not os.path.exists(out)
+    else:
+        assert stderr.getvalue() == ""
+        assert os.path.exists(out)
+    return code
+
+
 class TestExitStatus:
-    """Whatever the input, public file and arguments, `select` exits 0, 2 or 3."""
+    """Whatever the input, public file and arguments, `select` exits 0, 2 or 3,
+    and `probs`, `midpoints` and `kappa` exit 0 or 2."""
 
     @settings(max_examples=150, deadline=None)
     @given(body=_BODY, args=_select_args())
@@ -732,25 +796,36 @@ class TestExitStatus:
         body=b"user_id,partition\nu1,k1\n",
         args=(["--mode=release-counts", "--epsilon=1e-17", "--delta=1e-5"], None),
     )
+    # Crossover counts past binary64; the input breaks strict mode (exit 3) once read.
+    @example(body=b"user_id,partition\nu1,k1\nu1,k2\n", args=(["--epsilon=5e-324", "--delta=5e-324"], None))
+    @example(body=b"user_id,partition\nu1,k1\n", args=(["--epsilon=1e-310", "--delta=1e-310"], None))
     def test_exit_is_0_2_or_3_and_a_failure_writes_nothing(self, body, args):
         options, public = args
         with tempfile.TemporaryDirectory() as tmp:
             data, out = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "out")
             Path(data).write_bytes(body)
-            argv = ["select", "--input", data, *options, "--out", out]
+            argv = ["select", "--input", data, *options]
             if public is not None:
                 Path(tmp, "public.txt").write_bytes(public)
                 argv.append(f"--public-file={os.path.join(tmp, 'public.txt')}")
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            assert code in (0, 2, 3)
-            if code:
-                assert stderr.getvalue().startswith("error:")
-                assert not os.path.exists(out)
-            else:
-                assert stderr.getvalue() == ""
-                assert os.path.exists(out)
+            assert _exit_and_output(argv, out) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_table_argv())
+    # Budgets that binary64 cannot carry: an infinite crossover, Laplace
+    # threshold or search bound.
+    @example(argv=["probs", "--strategy=laplace", "--epsilon=5e-324", "--delta=1e-5", "--n-max=5"])
+    @example(argv=["probs", "--epsilon=5e-324", "--delta=5e-324", "--n-max=5"])
+    @example(argv=["kappa", "--epsilon=5e-324", "--delta=1e-5"])
+    @example(argv=["kappa", "--epsilon=1e-310", "--delta=0.5", "--kappa-max=1"])
+    @example(argv=["midpoints", "--sweep=delta", "--epsilon=5e-324"])
+    # Default probs tables that would not end.
+    @example(argv=["probs", "--epsilon=1e-300", "--delta=1e-300"])
+    @example(argv=["probs", "--strategy=laplace", "--epsilon=1e-300", "--delta=1e-5"])
+    @example(argv=["probs", "--strategy=laplace", "--epsilon=1e-10", "--delta=1e-5"])
+    def test_tables_exit_0_or_2_and_a_failure_writes_nothing(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _exit_and_output(argv, os.path.join(tmp, "out")) in (0, 2)
 
 
 class TestImports:

@@ -25,6 +25,7 @@ from partsel import (
     ingest,
     pi_opt,
     read_rows,
+    release,
     select_partitions,
     thresholded_release,
     tsgd_params,
@@ -555,6 +556,101 @@ class TestPerKeyDecisions:
         assert all(abs(shift) <= noise.k for shift in shifts)
         assert all(noisy > noise.k for noisy in released.values())
         assert len(set(shifts)) == len(shifts)  # every key draws its own noise
+
+
+def _spread_rows(bound: int) -> list[tuple[str, str]]:
+    """600 users, user i on 1 + i % ``bound`` of 50 partitions of skewed popularity,
+    one row in five given twice."""
+    rows = []
+    for i in range(600):
+        first = int(50 * ((i * 7919 % 997) / 997) ** 3)
+        for j in range(1 + i % bound):
+            rows += [(f"u{i}", f"p{(first + 7 * j) % 50}")] * (2 if (i + j) % 5 == 0 else 1)
+    return rows
+
+
+def _written(mode: str, result) -> str:
+    out = io.StringIO()
+    (write_selection if mode == "select" else write_release)(result, out)
+    return out.getvalue()
+
+
+class _Unread:
+    """A row source that fails the test when it is iterated."""
+
+    def __iter__(self):
+        pytest.fail("release read a row before it had checked its arguments")
+
+
+class TestRelease:
+    @pytest.mark.parametrize("conflict", list(IngestMode))
+    @pytest.mark.parametrize("kappa", [1, 3])
+    @pytest.mark.parametrize("mode", ["select", "release-counts", "dual"])
+    def test_equals_the_hand_built_path(self, mode, kappa, conflict):
+        # Strict ingest gets users within the bound; first-wins drops the
+        # partitions of users past it.
+        rows = _spread_rows(kappa if conflict is IngestMode.STRICT else kappa + 2)
+        params, seed, public = PrivacyParams(1.0, 1e-4), 11, ["p3", "p7", "absent"]
+        hist = ingest(rows, conflict, kappa)
+        share = params.split(kappa)
+        if mode == "select":
+            expected = select_partitions(hist, OptPrimitive(share), seed)
+        elif mode == "release-counts":
+            expected = thresholded_release(hist, share, seed)
+        else:
+            expected = dual_threshold_release(hist, public, share, 0, seed)
+        assert 0 < len(expected) < len(hist) + (mode == "dual")
+        dual = {"public_keys": public, "public_threshold": 0} if mode == "dual" else {}
+        for policy in (conflict, conflict.value):
+            got = release(rows, params, mode, kappa=kappa, conflict=policy, seed=seed, **dual)
+            assert _written(mode, got) == _written(mode, expected)
+
+    @pytest.mark.parametrize(
+        ("arguments", "message"),
+        [
+            ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+            ({"seed": 2**64}, f"seed must be an integer in [0, 2^64), got {2**64}"),
+            ({"mode": "dual", "public_keys": ["k1"], "public_threshold": 99},
+             "public threshold must be an integer in [-k, k] = [-11, 11], got 99"),
+            ({"mode": "release-counts", "params": PrivacyParams(1.0, 1.0)},
+             "effective delta must be in (0, 1), got 1.0"),
+            ({"mode": "release-counts", "params": PrivacyParams(1e-17, 1e-5)},
+             "effective epsilon 1e-17 too small to represent the noise distribution in binary64"),
+            ({"mode": "dual", "params": PrivacyParams(3e-17, 1e-5), "kappa": 3,
+              "public_keys": ["k1"], "public_threshold": 0},
+             "effective epsilon 9.999999999999999e-18 too small to represent the noise "
+             "distribution in binary64"),
+            ({"params": PrivacyParams(5e-324, 5e-324)},
+             "effective budget (epsilon 5e-324, delta 5e-324) too small: the crossover counts "
+             "of the optimal primitive overflow binary64"),
+            ({"mode": "dual", "public_threshold": 0},
+             "dual mode requires public keys and a public threshold"),
+            ({"mode": "release-counts", "public_keys": ["k1"]},
+             "public keys and a public threshold apply only to dual mode"),
+            ({"mode": "dual", "public_keys": ["k1", ""], "public_threshold": 0},
+             "public keys must be nonempty strings, got ''"),
+            ({"kappa": 0}, "kappa must be a positive integer, got 0"),
+            ({"mode": "counts"}, "mode must be one of select, release-counts, dual, got 'counts'"),
+            ({"conflict": "last-wins"}, "'last-wins' is not a valid IngestMode"),
+        ],
+        ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
+             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget",
+             "dual-without-keys", "keys-outside-dual", "empty-public-key", "kappa-0",
+             "unknown-mode", "unknown-conflict"],
+    )
+    def test_arguments_are_checked_before_the_first_row_is_read(self, arguments, message):
+        with pytest.raises(ValueError) as info:
+            release(_Unread(), **{"params": PARAMS, **arguments})
+        assert str(info.value) == message
+
+    def test_a_row_source_is_read_once_the_arguments_pass(self):
+        with pytest.raises(pytest.fail.Exception, match="before it had checked"):
+            release(_Unread(), PARAMS)
+
+    def test_select_refuses_a_present_key_with_a_line_break(self):
+        with pytest.raises(InputFormatError, match="line break"):
+            release([("u1", "a\nb")], PARAMS)
+        assert release([("u1", "a\nb")], PARAMS, "release-counts") == {}
 
 
 class TestWriters:
