@@ -14,14 +14,18 @@ item 4).
 Every mode decides its keys in one loop, ``_hits``, in plain Python on exact
 integers: each key's digest is compared, in the pass that makes it, with one
 integer per distinct count (the keep threshold, or in the count modes the
-least uniform whose noise clears the bound). The seed check, the MAC and the
-shifts between the 64-bit digest and the 53-bit uniform live only there.
-Only the released keys are kept, and only they have their noise inverted
-from the integer CDF bounds.
+least uniform whose noise clears the bound). The MAC and the shifts between
+the 64-bit digest and the 53-bit uniform live only there. Only the released
+keys are kept, and only they have their noise inverted from the integer CDF
+bounds.
 
-:func:`release` runs one release end to end, as ``partsel select`` does: it
-checks its arguments, splits the nominal budget by the contribution bound it
-ingests with, and calls the mode's function.
+Each mode's values are checked once, in ``_plan``, before any histogram
+exists: the seed, the budget (by building its primitive or noise), and dual
+mode's public threshold and keys. The mode functions are their plan applied
+to a histogram, so they raise :func:`release`'s messages. :func:`release`
+runs one release end to end, as ``partsel select`` does: it splits the
+budget, builds the plan, and only then calls :func:`ingest`, which checks
+its policy and bound before it reads a row.
 """
 
 from __future__ import annotations
@@ -84,15 +88,17 @@ class PartitionHistogram:
 
 def ingest(
     rows: Iterable[tuple[str, str]],
-    mode: IngestMode = IngestMode.STRICT,
+    mode: IngestMode | str = IngestMode.STRICT,
     max_partitions_per_user: int = 1,
 ) -> PartitionHistogram:
     """Count unique users per partition.
 
-    STRICT raises when a user appears with more distinct partitions than
-    ``max_partitions_per_user``; FIRST_WINS silently keeps each user's
-    earliest distinct partitions in input order (a non-private preprocessing
-    convention). Each (user, partition) pair is counted at most once.
+    ``mode`` is an :class:`IngestMode` or its value; it and the bound are
+    checked before the first row is read. STRICT raises when a user appears
+    with more distinct partitions than ``max_partitions_per_user``;
+    FIRST_WINS silently keeps each user's earliest distinct partitions in
+    input order (a non-private preprocessing convention). Each (user,
+    partition) pair is counted at most once.
 
     Slot i maps each user to their i-th distinct partition, and is added only
     when some user first needs it, so work and memory follow the data, not the
@@ -111,7 +117,7 @@ def ingest(
         raise ConfigurationError(
             f"max_partitions_per_user must be >= 1, got {max_partitions_per_user!r}"
         )
-    strict = mode is IngestMode.STRICT
+    strict = IngestMode(mode) is IngestMode.STRICT
     further = max_partitions_per_user - 1
     first: dict[str, str] = {}  # slot 1
     more: list[dict[str, str]] = []  # slots 2, 3, ...
@@ -266,29 +272,6 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> InputFormatEr
     return InputFormatError(f"file {os.fsdecode(path)!r} is not valid UTF-8: {exc.reason}")
 
 
-def _check_seed(seed: int) -> None:
-    if not is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-
-
-def _check_public_threshold(public_threshold: int, k: int) -> None:
-    """Dual mode's public threshold must be an integer in [-k, k], k the noise bound."""
-    if not is_int(public_threshold) or not -k <= public_threshold <= k:
-        raise ConfigurationError(
-            f"public threshold must be an integer in [-k, k] = [{-k}, {k}], "
-            f"got {public_threshold!r}"
-        )
-
-
-def _key_set(keys: Iterable[str]) -> set[str]:
-    """The public keys as a set, each a nonempty string."""
-    public = set(keys)
-    for key in public:
-        if not isinstance(key, str) or not key:
-            raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
-    return public
-
-
 def _hits(
     pairs: Iterable[tuple[str, int]],
     cut: Callable[[int], int],
@@ -303,7 +286,6 @@ def _hits(
     is true and ``u >= cut(n)`` otherwise, where ``cut`` is called once per
     distinct count. Only the hits are kept.
     """
-    _check_seed(seed)
     mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
     copy, from_bytes = mac.copy, int.from_bytes
     # The digest read as a little-endian 64-bit integer has u in its top 53
@@ -334,22 +316,57 @@ def _noisy_above(
     return {key: n + x for (key, n, _), x in zip(hits, shifts)}
 
 
+def _plan(
+    mode: str, budget: PrivacyParams | OptPrimitive, seed: int,
+    public_keys: Iterable[str] | None = None, public_threshold: int | None = None,
+) -> Callable[[PartitionHistogram], set[str] | dict[str, int]]:
+    """The decision of ``mode`` as a function of the histogram, every value it runs with checked.
+
+    ``budget`` is the budget of one partition's decision, or in select mode also its built primitive.
+    """
+    if not is_int(seed) or not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if mode == "select":
+        prim = budget if isinstance(budget, OptPrimitive) else OptPrimitive(budget)
+        keep = lambda n: keep_threshold(prim, n)
+        return lambda hist: {key for key, _, _ in _hits(hist._counts.items(), keep, True, seed, b"select")}
+    noise = tsgd_params(budget)
+    k = noise.k
+    if mode == "release-counts":
+        return lambda hist: _noisy_above(noise, hist._counts.items(), k, seed, b"release")
+    if not is_int(public_threshold) or not -k <= public_threshold <= k:
+        raise ConfigurationError(
+            f"public threshold must be an integer in [-k, k] = [{-k}, {k}], got {public_threshold!r}"
+        )
+    public = set(public_keys)
+    for key in public:
+        if not isinstance(key, str) or not key:
+            raise ConfigurationError(f"public keys must be nonempty strings, got {key!r}")
+
+    def dual(hist: PartitionHistogram) -> dict[str, int]:
+        counts = hist._counts
+        private = ((key, n) for key, n in counts.items() if key not in public)
+        # The private and public keys are disjoint, so one dict holds both releases.
+        released = _noisy_above(noise, private, k, seed, b"dual")
+        public_ns = ((key, counts.get(key, 0)) for key in public)
+        released.update(_noisy_above(noise, public_ns, public_threshold, seed, b"dual"))
+        return released
+
+    return dual
+
+
 def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -> set[str]:
     """Independently keep each present partition with its optimal probability.
 
     A key is kept when its uniform lies below T(n) = floor(pi(n) * 2^53), so
     its realised keep probability never exceeds ``pi(n)``.
     """
-    hits = _hits(hist._counts.items(), lambda n: keep_threshold(prim, n), True, seed, b"select")
-    return {key for key, _, _ in hits}
+    return _plan("select", prim, seed)(hist)
 
 
-def thresholded_release(
-    hist: PartitionHistogram, params: PrivacyParams, seed: int
-) -> dict[str, int]:
+def thresholded_release(hist: PartitionHistogram, params: PrivacyParams, seed: int) -> dict[str, int]:
     """Noise every present count; release key and noisy count when it exceeds k."""
-    noise = tsgd_params(params)
-    return _noisy_above(noise, hist._counts.items(), noise.k, seed, b"release")
+    return _plan("release-counts", params, seed)(hist)
 
 
 def dual_threshold_release(
@@ -366,16 +383,7 @@ def dual_threshold_release(
     -k releases every public key present in the data (but lets almost every
     absent public key through), while k admits only keys actually present.
     """
-    noise = tsgd_params(params)
-    _check_public_threshold(public_threshold, noise.k)
-    public = _key_set(public_keys)
-    counts = hist._counts
-    private = ((key, n) for key, n in counts.items() if key not in public)
-    # The private and public keys are disjoint, so one dict holds both releases.
-    released = _noisy_above(noise, private, noise.k, seed, b"dual")
-    public_ns = ((key, counts.get(key, 0)) for key in public)
-    released.update(_noisy_above(noise, public_ns, public_threshold, seed, b"dual"))
-    return released
+    return _plan("dual", params, seed, public_keys, public_threshold)(hist)
 
 
 def release(
@@ -394,8 +402,10 @@ def release(
     which alone takes ``public_keys`` and ``public_threshold``, and needs both.
 
     Every argument is checked before the first row is read, so a bad one
-    raises on any input. Select mode refuses a present key with a line break,
-    which its one-key-per-line output cannot hold.
+    raises on any input: ``kappa`` by the split, the values the mode functions
+    also take by the mode's plan, with their messages, and ``conflict`` by
+    :func:`ingest`. Select mode refuses a present key with a line break, which
+    its one-key-per-line output cannot hold.
     """
     if mode not in ("select", "release-counts", "dual"):
         raise ConfigurationError(f"mode must be one of select, release-counts, dual, got {mode!r}")
@@ -404,15 +414,7 @@ def release(
         raise ConfigurationError("public keys and a public threshold apply only to dual mode")
     if dual and (public_keys is None or public_threshold is None):
         raise ConfigurationError("dual mode requires public keys and a public threshold")
-    _check_seed(seed)
-    conflict, share = IngestMode(conflict), params.split(kappa)
-    if mode == "select":
-        prim = OptPrimitive(share)
-    else:
-        noise = tsgd_params(share)  # refuses a budget the count modes cannot honour
-        if dual:
-            _check_public_threshold(public_threshold, noise.k)
-            public_keys = _key_set(public_keys)
+    plan = _plan(mode, params.split(kappa), seed, public_keys, public_threshold)
     hist = ingest(rows, conflict, kappa)
     if mode == "select":
         for key in hist._counts:  # every present key, so the refusal depends on the input alone
@@ -421,10 +423,7 @@ def release(
                     f"partition key {key!r} contains a line break, which select mode's "
                     "one-key-per-line output cannot hold; release-counts mode writes it as CSV"
                 )
-        return select_partitions(hist, prim, seed)
-    if dual:
-        return dual_threshold_release(hist, public_keys, share, public_threshold, seed)
-    return thresholded_release(hist, share, seed)
+    return plan(hist)
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:

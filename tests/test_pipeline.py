@@ -59,6 +59,15 @@ class TestIngest:
         hist = ingest([("u1", "a"), ("u1", "b")], mode=IngestMode.FIRST_WINS)
         assert hist.counts() == {"a": 1}
 
+    def test_mode_value_strings_are_the_modes(self):
+        with pytest.raises(StrictViolationError, match="u1"):
+            ingest([("u1", "a"), ("u1", "b")], "strict")
+        assert ingest([("u1", "a"), ("u1", "b")], "first-wins").counts() == {"a": 1}
+
+    def test_unknown_mode_raises_before_a_row_is_read(self):
+        with pytest.raises(ValueError, match="^'last-wins' is not a valid IngestMode$"):
+            ingest(_Unread(), "last-wins")
+
     def test_relaxed_bound_for_multiple_contributions(self):
         rows = [("u1", "a"), ("u1", "b"), ("u2", "a")]
         hist = ingest(rows, max_partitions_per_user=2)
@@ -575,6 +584,9 @@ def _written(mode: str, result) -> str:
     return out.getvalue()
 
 
+_HIST = PartitionHistogram.from_counts({"k1": 3, "k2": 40})
+
+
 class _Unread:
     """A row source that fails the test when it is iterated."""
 
@@ -642,6 +654,45 @@ class TestRelease:
         with pytest.raises(ValueError) as info:
             release(_Unread(), **{"params": PARAMS, **arguments})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        ("arguments", "call"),
+        [
+            ({"seed": -1}, lambda: select_partitions(_HIST, OptPrimitive(PARAMS), -1)),
+            ({"seed": 2**64}, lambda: select_partitions(_HIST, OptPrimitive(PARAMS), 2**64)),
+            ({"mode": "release-counts", "seed": -1}, lambda: thresholded_release(_HIST, PARAMS, -1)),
+            ({"mode": "dual", "public_keys": ["k1"], "public_threshold": 0, "seed": 2**64},
+             lambda: dual_threshold_release(_HIST, ["k1"], PARAMS, 0, 2**64)),
+            ({"mode": "dual", "public_keys": ["k1"], "public_threshold": 99},
+             lambda: dual_threshold_release(_HIST, ["k1"], PARAMS, 99, 0)),
+            ({"mode": "release-counts", "params": PrivacyParams(1.0, 1.0)},
+             lambda: thresholded_release(_HIST, PrivacyParams(1.0, 1.0), 0)),
+            ({"mode": "release-counts", "params": PrivacyParams(1e-17, 1e-5)},
+             lambda: thresholded_release(_HIST, PrivacyParams(1e-17, 1e-5), 0)),
+            ({"mode": "dual", "params": PrivacyParams(3e-17, 1e-5), "kappa": 3,
+              "public_keys": ["k1"], "public_threshold": 0},
+             lambda: dual_threshold_release(_HIST, ["k1"], PrivacyParams(3e-17, 1e-5).split(3), 0, 0)),
+            # select_partitions takes a built primitive, so the budget is refused as it is built.
+            ({"params": PrivacyParams(5e-324, 5e-324)},
+             lambda: select_partitions(_HIST, OptPrimitive(PrivacyParams(5e-324, 5e-324)), 0)),
+            ({"mode": "dual", "public_keys": ["k1", ""], "public_threshold": 0},
+             lambda: dual_threshold_release(_HIST, ["k1", ""], PARAMS, 0, 0)),
+        ],
+        ids=["negative-seed", "seed-2^64", "count-mode-negative-seed", "dual-seed-2^64",
+             "public-threshold-past-k", "count-mode-delta-1", "count-mode-epsilon-1e-17",
+             "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget", "empty-public-key"],
+    )
+    def test_mode_functions_raise_the_release_messages(self, arguments, call):
+        def raised(run):
+            try:
+                run()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        expected = raised(lambda: release(_Unread(), **{"params": PARAMS, **arguments}))
+        assert expected is not None
+        assert raised(call) == expected
 
     def test_a_row_source_is_read_once_the_arguments_pass(self):
         with pytest.raises(pytest.fail.Exception, match="before it had checked"):
