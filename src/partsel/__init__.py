@@ -47,7 +47,6 @@ _MODULES = {
     ),
     "primitive": (
         "OptPrimitive",
-        "expected_output_size",
         "pi_opt",
         "pi_opt_many",
     ),

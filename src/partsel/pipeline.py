@@ -404,8 +404,7 @@ def release(
     Every argument is checked before the first row is read, so a bad one
     raises on any input: ``kappa`` by the split, the values the mode functions
     also take by the mode's plan, with their messages, and ``conflict`` by
-    :func:`ingest`. Select mode refuses a present key with a line break, which
-    its one-key-per-line output cannot hold.
+    :func:`ingest`.
     """
     if mode not in ("select", "release-counts", "dual"):
         raise ConfigurationError(f"mode must be one of select, release-counts, dual, got {mode!r}")
@@ -415,31 +414,28 @@ def release(
     if dual and (public_keys is None or public_threshold is None):
         raise ConfigurationError("dual mode requires public keys and a public threshold")
     plan = _plan(mode, params.split(kappa), seed, public_keys, public_threshold)
-    hist = ingest(rows, conflict, kappa)
-    if mode == "select":
-        for key in hist._counts:  # every present key, so the refusal depends on the input alone
-            if "\n" in key or "\r" in key:
-                raise InputFormatError(
-                    f"partition key {key!r} contains a line break, which select mode's "
-                    "one-key-per-line output cannot hold; release-counts mode writes it as CSV"
-                )
-    return plan(hist)
+    return plan(ingest(rows, conflict, kappa))
 
 
 def write_selection(kept: Iterable[str], out: TextIO) -> None:
-    """Selection-mode output: one partition key per line, lexicographically sorted."""
-    for key in sorted(kept):
-        out.write(key + "\n")
+    """Selection-mode output: a one-column CSV of the kept keys, sorted, with no header."""
+    keys = sorted(kept)
+    _csv_writer(out, keys).writerows(zip(keys))  # one-field rows
 
 
 def write_release(released: Mapping[str, int], out: TextIO) -> None:
-    """Count-mode output: 'partition,noisy_count' CSV sorted by key.
+    """Count-mode output: 'partition,noisy_count' CSV sorted by key."""
+    writer = _csv_writer(out, released)
+    writer.writerow(["partition", "noisy_count"])
+    writer.writerows(sorted(released.items()))
+
+
+def _csv_writer(out: TextIO, keys: Iterable[str]):
+    """The CSV writer of every release mode, for output that holds ``keys``.
 
     Minimal quoting quotes a key holding LF but not one holding a lone CR,
     at which a CSV reader splits the row; when any key holds a CR, every
     string field is written quoted.
     """
-    quoting = csv.QUOTE_NONNUMERIC if "\r" in "".join(released) else csv.QUOTE_MINIMAL
-    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-    writer.writerow(["partition", "noisy_count"])
-    writer.writerows(sorted(released.items()))
+    quoting = csv.QUOTE_NONNUMERIC if any("\r" in key for key in keys) else csv.QUOTE_MINIMAL
+    return csv.writer(out, lineterminator="\n", quoting=quoting)

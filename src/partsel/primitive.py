@@ -201,13 +201,3 @@ def keep_threshold(prim: OptPrimitive, n: int) -> int:
     down to the 2^-53 grid and never exceeds it.
     """
     return math.floor(pi_opt(prim, n) * 2.0**53)
-
-
-def expected_output_size(hist, prim: OptPrimitive) -> float:
-    """Expected number of released partitions: the sum of keep probabilities.
-
-    ``hist`` may be a :class:`~partsel.pipeline.PartitionHistogram` or any
-    mapping from partition key to count.
-    """
-    counts = hist.counts() if hasattr(hist, "counts") else hist
-    return float(sum(pi_opt(prim, n) for n in counts.values()))

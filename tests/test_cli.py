@@ -305,10 +305,11 @@ def _pinned_rows(spread: bool) -> list[tuple[str, str]]:
 
 # sha256 of select's output in each mode. kappa 2 and 3 under first-wins
 # drop 2,000 and 1,200 of the spread input's 6,600 rows; 600 rows repeat a pair.
+# Select mode writes its 7 kept keys with a comma, "p7,x" to "p49,x", quoted.
 SELECT_OUTPUT_SHA256 = [
     pytest.param(
         False, ["--mode", "select"],
-        "12c23969007392238285b89cb3b1fba4c976a42360f56713cfee839abc532910",
+        "e29dd24575459d9569fff1e3c2a07cd496a7a55920b66b6de2f8347bb1ede47a",
         id="select-strict-kappa1",
     ),
     pytest.param(
@@ -421,32 +422,7 @@ class TestSelect:
         )
         assert result.exit_code == 0
 
-    def test_select_rejects_keys_with_line_breaks(self, runner, tmp_path):
-        # 40 users put each key past every threshold at (5, 0.1), so it would be kept.
-        data = tmp_path / "rows.csv"
-        out = tmp_path / "keys.txt"
-        common = ["select", "--input", str(data), "--epsilon", "5", "--delta", "0.1"]
-        for key in ("a\nb", "a\r\nb", "a\rb"):
-            rows = "".join(f'u{i},"{key}"\n' for i in range(40))
-            data.write_text("user_id,partition\n" + rows, encoding="utf-8", newline="")
-            result = runner.invoke(main, [*common, "--out", str(out)])
-            assert result.exit_code == 2
-            assert "line break" in result.output
-            assert not out.exists()
-        # The count modes accept such keys; an LF key is written as a quoted CSV field.
-        data.write_text(
-            "user_id,partition\n" + "".join(f'u{i},"a\nb"\n' for i in range(40)),
-            encoding="utf-8",
-            newline="",
-        )
-        counts = tmp_path / "counts.csv"
-        result = runner.invoke(main, [*common, "--mode", "release-counts", "--out", str(counts)])
-        assert result.exit_code == 0
-        with open(counts, newline="", encoding="utf-8") as f:
-            (row,) = csv.DictReader(f)
-        assert row["partition"] == "a\nb"
-
-    @pytest.mark.parametrize("mode", ["release-counts", "dual"])
+    @pytest.mark.parametrize("mode", ["select", "release-counts", "dual"])
     def test_count_modes_round_trip_keys_with_line_breaks(self, runner, tmp_path, mode):
         # csv's minimal quoting leaves a lone CR bare, and a reader splits the row there.
         keys = ["a\nb", "a\r\nb", "a\rb", "\r", "plain"]
@@ -465,10 +441,15 @@ class TestSelect:
         result = runner.invoke(main, argv)
         assert result.exit_code == 0, result.output
         with open(counts, newline="", encoding="utf-8") as f:
-            header, *rows = csv.reader(f)
-        assert header == ["partition", "noisy_count"]
-        assert all(len(row) == 2 and int(row[1]) > 0 for row in rows)
-        assert set(keys) <= {row[0] for row in rows} <= {*keys, "known"}
+            rows = list(csv.reader(f))
+        if mode == "select":
+            # 40 users put each key past every threshold at (5, 0.1), so every key is kept.
+            assert rows == [[key] for key in sorted(keys)]
+        else:
+            header, *rows = rows
+            assert header == ["partition", "noisy_count"]
+            assert all(len(row) == 2 and int(row[1]) > 0 for row in rows)
+            assert set(keys) <= {row[0] for row in rows} <= {*keys, "known"}
 
     def test_malformed_input_exits_2(self, runner, tmp_path):
         data = tmp_path / "rows.csv"
@@ -786,9 +767,43 @@ def _exit_and_output(argv: list[str], out: str) -> int:
     return code
 
 
+# The rows of a valid input, and of one more user: any keys, quoted or not,
+# with commas, quotes and line breaks among them.
+_VALID_KEY = st.sampled_from(["k1", "k2", "a,b", 'q"2', "x\ny", "a\r\nb", "a\rb", "\u2028"])
+_VALID_ROWS = st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u,4"]), _VALID_KEY), max_size=12)
+_ONE_USER_KEYS = st.lists(_VALID_KEY, min_size=1, max_size=4)
+
+
 class TestExitStatus:
     """Whatever the input, public file and arguments, `select` exits 0, 2 or 3,
     and `probs`, `midpoints` and `kappa` exit 0 or 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=_VALID_ROWS,
+        keys=_ONE_USER_KEYS,
+        mode=st.sampled_from(["select", "release-counts", "dual"]),
+        budget=st.sampled_from([("1", "1e-5"), ("5", "0.1")]),
+        kappa=st.sampled_from(["1", "3"]),
+    )
+    @example(rows=[("u1", "a"), ("u2", "a")], keys=["x\ny"], mode="select", budget=("1", "1e-5"), kappa="1")
+    def test_one_more_user_never_makes_a_run_fail(self, rows, keys, mode, budget, kappa):
+        # Whether a release exists at all must not depend on one user's rows,
+        # so under first-wins, which never refuses a user, both runs exit 0.
+        with tempfile.TemporaryDirectory() as tmp:
+            public = os.path.join(tmp, "public.txt")
+            Path(public).write_text("k1\nabsent\n", encoding="utf-8")
+            argv = ["select", f"--mode={mode}", f"--epsilon={budget[0]}", f"--delta={budget[1]}",
+                    f"--kappa={kappa}", "--conflict=first-wins"]
+            if mode == "dual":
+                argv += [f"--public-file={public}", "--public-threshold=0"]
+            for n, body in enumerate([rows, rows + [("u-new", key) for key in keys]]):
+                data = os.path.join(tmp, f"rows{n}.csv")
+                with open(data, "w", encoding="utf-8", newline="") as f:
+                    writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+                    writer.writerow(["user_id", "partition"])
+                    writer.writerows(body)
+                assert _exit_and_output([*argv, "--input", data], os.path.join(tmp, f"out{n}")) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(body=_BODY, args=_select_args())

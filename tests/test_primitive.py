@@ -11,7 +11,6 @@ from partsel import (
     Neighboring,
     OptPrimitive,
     PrivacyParams,
-    expected_output_size,
     pi_opt,
     pi_opt_many,
 )
@@ -267,25 +266,3 @@ class TestKeepDecisions:
             assert thresholds[0] == 0
             assert Fraction(thresholds[1], 2**53) <= Fraction(params.effective_delta), params
             assert thresholds[prim.n2 + 1 :] == [2**53] * 5, params
-
-
-class TestExpectedOutputSize:
-    def test_empty_histogram(self):
-        assert expected_output_size({}, _prim(1.0, 1e-5)) == 0.0
-
-    def test_two_single_user_partitions(self):
-        prim = _prim(1.0, 1e-5)
-        assert expected_output_size({"a": 1, "b": 1}, prim) == pytest.approx(2e-5, rel=1e-12)
-
-    def test_saturated_partitions(self):
-        prim = _prim(1.0, 1e-5)
-        hist = {"a": prim.n2 + 1, "b": prim.n2 + 5}
-        assert expected_output_size(hist, prim) == 2.0
-
-    def test_accepts_real_histogram(self):
-        from partsel import ingest
-
-        prim = _prim(1.0, 1e-5)
-        hist = ingest([("u1", "a"), ("u2", "a"), ("u3", "b")])
-        expected = pi_opt(prim, 2) + pi_opt(prim, 1)
-        assert expected_output_size(hist, prim) == pytest.approx(expected, rel=1e-12)
