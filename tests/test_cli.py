@@ -422,6 +422,24 @@ class TestSelect:
         )
         assert result.exit_code == 0
 
+    def test_one_user_with_a_line_break_key_leaves_the_run_standing(self, runner, tmp_path):
+        # Adding u3's valid row must not turn a release into a refusal; the key
+        # decisions are per key, so "a" is decided the same in both runs.
+        outputs = []
+        for n, extra in enumerate(["", 'u3,"x\ny"\n']):
+            data, out = tmp_path / f"rows{n}.csv", tmp_path / f"keys{n}.csv"
+            data.write_text("user_id,partition\nu1,a\nu2,a\n" + extra, encoding="utf-8", newline="")
+            result = runner.invoke(
+                main,
+                ["select", "--input", str(data), "--epsilon", "1", "--delta", "1e-5",
+                 "--seed", "0", "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            with open(out, newline="", encoding="utf-8") as f:
+                outputs.append(list(csv.reader(f)))
+        assert set(map(tuple, outputs[0])) <= {("a",)}
+        assert [row for row in outputs[1] if row != ["x\ny"]] == outputs[0]
+
     @pytest.mark.parametrize("mode", ["select", "release-counts", "dual"])
     def test_count_modes_round_trip_keys_with_line_breaks(self, runner, tmp_path, mode):
         # csv's minimal quoting leaves a lone CR bare, and a reader splits the row there.

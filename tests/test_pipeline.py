@@ -699,6 +699,14 @@ class TestRelease:
         with pytest.raises(pytest.fail.Exception, match="before it had checked"):
             release(_Unread(), PARAMS)
 
+    @pytest.mark.parametrize("key", ["a\nb", "a\r\nb", "a\rb"])
+    def test_select_keeps_a_present_key_with_a_line_break(self, key):
+        # 40 users put the key past every threshold at (5, 0.1); one user's row
+        # with a line break is released over, not refused.
+        rows = [(f"u{i}", key) for i in range(40)]
+        assert release(rows, PrivacyParams(5.0, 0.1)) == {key}
+        assert release([("u1", key), ("u2", "a"), ("u3", "a")], PARAMS) <= {key, "a"}
+
 
 # csv.reader reads NUL only from Python 3.11 on.
 _NUL = ["\x00"] if sys.version_info >= (3, 11) else []
@@ -726,6 +734,21 @@ class TestWriters:
         write_selection(keys, out)
         rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
         assert rows == [[key] for key in sorted(keys)]
+
+    def test_selection_writes_plain_keys_byte_for_byte(self):
+        # No comma, quote, CR or LF: nothing is quoted, whatever else a key holds.
+        keys = ["a b", " lead", "trail ", "tab\tx", "\u2028", "\x85", "é"]
+        out = io.StringIO()
+        write_selection(keys, out)
+        assert out.getvalue() == "".join(key + "\n" for key in sorted(keys))
+
+    def test_both_writers_quote_every_key_when_one_holds_a_cr(self):
+        keys = ["plain", "a\rb", "x,y"]
+        selection, counts = io.StringIO(), io.StringIO()
+        write_selection(keys, selection)
+        write_release(dict.fromkeys(keys, 1), counts)
+        assert selection.getvalue() == '"a\rb"\n"plain"\n"x,y"\n'
+        assert counts.getvalue() == '"partition","noisy_count"\n"a\rb",1\n"plain",1\n"x,y",1\n'
 
     def test_release_csv_round_trips(self):
         import csv
