@@ -9,13 +9,14 @@ pipeline. No command loads numpy, nor ``dataclasses`` or ``inspect``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import csv
 import io
 import math
 import os
 import sys
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator, NoReturn, TextIO
 
 from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, pi_opt
@@ -332,5 +333,45 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _stdout_gone() -> int:
+    """Point stdout at ``os.devnull`` once its reader has closed the pipe, as in
+    ``partsel probs ... | head -1``, so that no later flush raises again.
+    Returns 1, the status Python exits with on a broken pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def run() -> NoReturn:
+    """The process entry point of ``python -m partsel.cli`` and the ``partsel`` script.
+
+    Runs :func:`main`, then the registered :mod:`atexit` handlers, flushes
+    stdout and stderr and ends the process with ``os._exit``. Each command
+    closes every file it opens before ``main`` returns and starts no thread,
+    so the interpreter's own teardown of modules and objects is skipped. If a
+    flush fails, the process leaves through ``sys.exit`` and that teardown,
+    which reports the failure. A closed stdout pipe exits 1 with no traceback.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    except BrokenPipeError:
+        code = _stdout_gone()
+    # Exit handlers run before the final flush, as in the interpreter's own
+    # shutdown, so that what they print is written too.
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the file descriptor was closed at start-up
+                stream.flush()
+    except BrokenPipeError:
+        code = _stdout_gone()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -48,11 +48,6 @@ class TsgdParams(_Record):
         """The epsilon this noise corresponds to: p = 1 - e^-eps."""
         return -math.log1p(-self.p)
 
-    @property
-    def delta_effective(self) -> float:
-        """P(X = k): the delta actually consumed after rounding k up to an integer."""
-        return self.c * (1.0 - self.p) ** self.k
-
     @cached_property
     def _bounds(self) -> _Bounds:
         return _Bounds(self)
@@ -94,10 +89,10 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     """Noise parameters for a sensitivity-1 count under the given budget.
 
     The truncation bound is the integer ceiling of the crossover exponent, so
-    the probability mass parked at +-k never exceeds the delta budget; the
-    leftover shows up as a slightly smaller :attr:`TsgdParams.delta_effective`.
-    The budget's delta also caps the realised P(X = k) of the integer noise
-    bounds, which float rounding could otherwise push past it.
+    the pmf's mass c * (1 - p)^k at +-k never exceeds the delta budget; the
+    leftover shows up as a mass slightly below delta. What sampling realises
+    is set by the integer CDF bounds instead: the budget's delta caps their
+    P(X = k), which float rounding could otherwise push past it.
     """
     eps, delta = params.effective_epsilon, params.effective_delta
     if eps <= 0.0:
@@ -114,7 +109,7 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
 
 def _tail_from_below(ratio: float, eps: float, k: int, a: int) -> float:
     # P(X >= k + 1 - a) for 0 < a <= k + 1 and ratio = c/p:
-    # delta_effective * (e^(a*eps) - 1) / (e^eps - 1), rearranged so every
+    # c * (1-p)^k * (e^(a*eps) - 1) / (e^eps - 1), rearranged so every
     # factor stays in [0, 1] and no intermediate can overflow whatever k * eps
     # is: (c/p) * e^(-(k+1-a)*eps) * (1 - e^(-a*eps)).
     return ratio * math.exp(-(k + 1.0 - a) * eps) * -math.expm1(-a * eps)

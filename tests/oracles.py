@@ -1,9 +1,10 @@
 """Reference oracles the tests check the package against.
 
 The O(n) recurrence that the closed-form keep probability is derived from,
-the truncated-geometric pmf, the keep probability of thresholding a noisy
-count, and the budgets at which that thresholding is exact. No command or
-pipeline function calls them, so they live here rather than in ``partsel``.
+the truncated-geometric pmf and its mass at the bound k, the keep probability
+of thresholding a noisy count, and the budgets at which that thresholding is
+exact. No command or pipeline function calls them, so they live here rather
+than in ``partsel``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ def tsgd_pmf(t: TsgdParams, x: int) -> float:
     if abs(x) > t.k:
         return 0.0
     return t.c * (1.0 - t.p) ** abs(x)
+
+
+def delta_effective(t: TsgdParams) -> float:
+    """P(X = k) under the pmf: the delta left spent once k is rounded up to an integer.
+
+    This is the real-valued pmf's mass, not what sampling realises: the realised
+    P(X = k) is set by the top integer CDF bound, which is capped at ``t.delta``.
+    """
+    return tsgd_pmf(t, t.k)
 
 
 def selection_prob_via_threshold(params: PrivacyParams, n: int) -> float:

@@ -32,6 +32,7 @@ from partsel import (
 from partsel.cli import main as cli_main
 
 from oracles import (
+    delta_effective,
     delta_for_exact_threshold,
     pi_opt_recursive_sequence,
     selection_prob_via_threshold,
@@ -143,7 +144,7 @@ def test_c06_mechanism_privacy_enumeration():
     for params in DP_PAIRS:
         eps, delta = params.effective_epsilon, params.effective_delta
         t = tsgd_params(params)
-        assert t.delta_effective <= delta * (1.0 + 1e-12)
+        assert delta_effective(t) <= delta * (1.0 + 1e-12)
         grow = math.exp(eps)
         mu = 0
         for y in range(mu - t.k - 2, mu + t.k + 4):

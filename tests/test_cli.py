@@ -39,30 +39,41 @@ def _write_input(path, rows):
             f.write(f"{user},{part}\n")
 
 
-def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
-    """The modules of ``packages`` loaded after running each argv as `python -m partsel.cli`
-    would, one after another in a fresh interpreter."""
-    script = (
-        "import json, runpy, sys\n"
-        "import partsel\n"
-        "packages = json.loads(sys.argv[2])\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    sys.argv = ['partsel', *argv]\n"
-        "    try:\n"
-        "        runpy.run_module('partsel.cli', run_name='__main__')\n"
-        "    except SystemExit as exc:\n"
-        "        if exc.code:\n"
-        "            raise\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in packages)))\n"
-    )
+def _python(args: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A child interpreter that imports this ``partsel``, run on ``args`` with
+    stderr captured as bytes.
+
+    Its stdout is block-buffered (``PYTHONUNBUFFERED`` is dropped), so a short
+    output is written only by the flush at the end of the process.
+    """
     src = str(Path(partsel.__file__).resolve().parents[1])
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs), json.dumps(packages)],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120, check=False
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
+    """The modules of ``packages`` loaded after running ``partsel.cli.main`` on
+    each argv, one after another in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "import partsel\n"
+        "packages = json.loads(sys.argv[2])\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    from partsel.cli import main  # in the loop: with no argv, nothing but partsel loads\n"
+        "    try:\n"
+        "        code = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    if code:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in packages)))\n"
+    )
+    proc = _python(["-c", script, json.dumps(argvs), json.dumps(packages)])
+    assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -896,3 +907,111 @@ class TestImports:
 
     def test_import_partsel_loads_no_submodule(self):
         assert _modules_after(["partsel"], []) == ["partsel"]
+
+
+class TestProcessEntry:
+    """``python -m partsel.cli`` ends its process through ``cli.run``: the same
+    status, stdout and stderr as ``main`` in-process, and the exit handlers run."""
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            (["--help"], 0),
+            (["select", "--input", "{rows}", "--delta", "1e-5"], 2),
+            (["probs", "--epsilon", "1", "--delta", "2.0"], 2),
+            (["select", "--input", "{strict}", "--epsilon", "1", "--delta", "1e-5"], 3),
+            (["probs", "--epsilon", "1", "--delta", "1e-5"], 0),
+            (["select", "--input", "{rows}", "--epsilon", "5", "--delta", "0.1", "--seed", "7", "--out", "-"], 0),
+        ],
+        ids=["help", "usage-error", "budget-error", "strict-violation", "probs-to-stdout", "select-to-stdout"],
+    )
+    def test_process_matches_main_in_process(self, tmp_path, monkeypatch, argv, code):
+        # Keys that need quoting or are not ASCII, each held by 40 users.
+        rows, strict = tmp_path / "rows.csv", tmp_path / "strict.csv"
+        with open(rows, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["user_id", "partition"])
+            writer.writerows((f"u{k}-{i}", key) for k, key in enumerate(["a,b", "\u00e9", "x\ny"]) for i in range(40))
+        _write_input(strict, [("u1", "a"), ("u1", "b")])
+        argv = [arg.format(rows=rows, strict=strict) for arg in argv]
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help and usage to
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                expected = main(argv)
+            except SystemExit as exc:  # argparse's --help and usage errors
+                expected = exc.code
+        proc = _python(["-m", "partsel.cli", *argv])
+        assert expected == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+        )
+        assert proc.stdout if code == 0 else proc.stderr
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [(["--help"], 0), (["probs", "--epsilon", "1", "--delta", "2.0"], 2),
+         (["probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "2"], 0)],
+        ids=["help", "budget-error", "probs"],
+    )
+    def test_exit_handlers_run_and_the_process_ends_in_the_module(self, tmp_path, argv, code):
+        marker = tmp_path / "marker"
+        script = (
+            "import atexit, runpy, sys\n"
+            "marker = sys.argv[1]\n"
+            "def handler():\n"
+            "    with open(marker, 'w', encoding='utf-8') as f:\n"
+            "        f.write('ran')\n"
+            "    print('handler printed')\n"
+            "atexit.register(handler)\n"
+            "sys.argv = ['partsel', *sys.argv[2:]]\n"
+            "runpy.run_module('partsel.cli', run_name='__main__')\n"
+            "print('after the module')\n"
+        )
+        proc = _python(["-c", script, str(marker), *argv])
+        assert proc.returncode == code, proc.stderr
+        assert marker.read_text(encoding="utf-8") == "ran"
+        # A handler's output is flushed too, and nothing after the module runs.
+        assert proc.stdout.endswith(b"handler printed\n")
+        assert b"after the module" not in proc.stdout
+
+    def test_closed_stdout_leaves_a_file_output_standing(self, tmp_path):
+        # A process started with file descriptor 1 closed has sys.stdout None.
+        out = tmp_path / "out.csv"
+        script = (
+            "import os, runpy, sys\n"
+            "os.close(1)\n"
+            "sys.stdout = None\n"
+            "sys.argv = ['partsel', *sys.argv[1:]]\n"
+            "runpy.run_module('partsel.cli', run_name='__main__')\n"
+        )
+        proc = _python(["-c", script, "probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "1", "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_text(encoding="utf-8") == "n,prob\n0,0\n1,1e-05\n"
+
+    @pytest.mark.parametrize("n_max", ["5", "200000"], ids=["at-the-last-flush", "while-writing"])
+    def test_closed_stdout_pipe_exits_1_without_a_traceback(self, n_max):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails: a short table's at the last flush, a long one's
+        # inside main once the buffer fills.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python(["-m", "partsel.cli", "probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", n_max],
+                           stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_flush_leaves_through_the_interpreter_teardown(self):
+        # Every write to /dev/full fails with ENOSPC. The table fits in the
+        # buffer, so main succeeds and the flush in run fails; the teardown's
+        # own flush fails again and reports it, with Python's status 120.
+        with open("/dev/full", "wb") as full:
+            proc = _python(["-m", "partsel.cli", "probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "5"],
+                           stdout=full)
+        assert proc.returncode == 120
+        assert b"[Errno 28]" in proc.stderr
+        assert b"Traceback" not in proc.stderr

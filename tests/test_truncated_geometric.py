@@ -21,7 +21,7 @@ from partsel import (
 )
 from partsel.truncated_geometric import tsgd_cutoff, tsgd_inverse
 
-from oracles import delta_for_exact_threshold, selection_prob_via_threshold, tsgd_pmf
+from oracles import delta_effective, delta_for_exact_threshold, selection_prob_via_threshold, tsgd_pmf
 
 DP_PAIRS = [
     (eps, delta)
@@ -88,7 +88,7 @@ class TestParams:
     @pytest.mark.parametrize(("eps", "delta"), DP_PAIRS)
     def test_truncation_mass_within_budget(self, eps, delta):
         t = tsgd_params(PrivacyParams(eps, delta))
-        assert t.delta_effective <= delta * (1.0 + 1e-12)
+        assert delta_effective(t) <= delta * (1.0 + 1e-12)
 
     def test_rejects_unusable_budgets(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestParams:
         with pytest.raises(ConfigurationError, match=r"^effective epsilon 1e-17 too small"):
             tsgd_params(PrivacyParams(2e-17, 1e-5, Neighboring.REPLACE))
         t = tsgd_params(PrivacyParams(math.nextafter(2.0**-54, 1.0), 1e-5))
-        assert 0.0 < t.c and t.delta_effective <= 1e-5
+        assert 0.0 < t.c and delta_effective(t) <= 1e-5
 
 
 class TestPmf:
