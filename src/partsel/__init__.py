@@ -28,13 +28,13 @@ _MODULES = {
     ),
     "params": (
         "ConfigurationError",
+        "IngestMode",
         "InputFormatError",
         "Neighboring",
         "PrivacyParams",
         "StrictViolationError",
     ),
     "pipeline": (
-        "IngestMode",
         "PartitionHistogram",
         "dual_threshold_release",
         "ingest",

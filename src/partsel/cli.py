@@ -18,12 +18,8 @@ import os
 import sys
 from typing import Callable, Iterator, NoReturn, TextIO
 
-from .params import ConfigurationError, Neighboring, PrivacyParams, StrictViolationError
+from .params import RELEASE_MODES, ConfigurationError, IngestMode, Neighboring, PrivacyParams, StrictViolationError
 from .primitive import OptPrimitive, pi_opt
-
-# The values of pipeline.IngestMode, spelled out so that parsing the command
-# line does not import the pipeline (a test keeps the two equal).
-_CONFLICT_MODES = ("strict", "first-wins")
 
 
 def _params(epsilon: float, delta: float, neighboring: str) -> PrivacyParams:
@@ -229,7 +225,7 @@ def select(
         kappa=kappa, conflict=conflict, seed=seed, public_keys=public, public_threshold=public_threshold,
     )
     with _output(out) as f:
-        (pipeline.write_selection if mode == "select" else pipeline.write_release)(released, f)
+        (pipeline.write_release if isinstance(released, dict) else pipeline.write_selection)(released, f)
 
 
 def _command(commands, name: str, run: Callable[..., None]) -> argparse.ArgumentParser:
@@ -288,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = _command(commands, "select", select)
     p.add_argument("--input", dest="input_path", metavar="FILE", type=_existing_file, required=True)
-    p.add_argument("--mode", choices=["select", "release-counts", "dual"], default="select", help="Default: %(default)s.")
+    p.add_argument("--mode", choices=RELEASE_MODES, default=RELEASE_MODES[0], help="Default: %(default)s.")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kappa", type=int, default=1, help="Divide the budget for users touching up to kappa partitions. Default: %(default)s.")
@@ -302,8 +298,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--conflict",
-        choices=_CONFLICT_MODES,
-        default="strict",
+        choices=[m.value for m in IngestMode],
+        default=IngestMode.STRICT.value,
         help="What to do when a user exceeds the partition bound. Default: %(default)s.",
     )
     p.add_argument("--public-file", metavar="FILE", type=_existing_file, help="Known partition keys, one per line (dual mode).")
@@ -350,8 +346,9 @@ def run() -> NoReturn:
     stdout and stderr and ends the process with ``os._exit``. Each command
     closes every file it opens before ``main`` returns and starts no thread,
     so the interpreter's own teardown of modules and objects is skipped. If a
-    flush fails, the process leaves through ``sys.exit`` and that teardown,
-    which reports the failure. A closed stdout pipe exits 1 with no traceback.
+    flush fails, or a profiler or tracer runs the module and reports once it
+    returns, the process leaves through ``sys.exit`` and that teardown. A
+    closed stdout pipe exits 1 with no traceback.
     """
     try:
         code = main()
@@ -370,7 +367,9 @@ def run() -> NoReturn:
         code = _stdout_gone()
     except OSError:
         sys.exit(code)
-    os._exit(code)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,14 @@ class Neighboring(enum.Enum):
     REPLACE = "replace"
 
 
+class IngestMode(enum.Enum):
+    STRICT = "strict"
+    FIRST_WINS = "first-wins"
+
+
+# The release modes, the default first: the kept keys, noisy counts, or noisy counts with public keys.
+RELEASE_MODES = ("select", "release-counts", "dual")
+
 # A module constant: reading it skips the enum class's attribute lookup,
 # which the effective-budget properties would otherwise pay on every read.
 _REPLACE = Neighboring.REPLACE
@@ -44,11 +52,10 @@ class _Record:
 
     A subclass names its constructor's arguments in ``_args`` and every value
     ``==``, ``hash`` and ``repr`` see in ``_fields``, the arguments first. Its
-    ``__init__`` checks the arguments and sets each value with :data:`_set`, or
-    in its instance dict when it has no ``__slots__``: assigning or deleting an
-    attribute afterwards raises ``AttributeError``. Pickle and copy rebuild
-    through the constructor, so every copy is checked again. The repr is a
-    frozen dataclass's.
+    ``__init__`` checks the arguments and sets each slot with :data:`_set`:
+    assigning or deleting an attribute afterwards raises ``AttributeError``.
+    Pickle and copy rebuild through the constructor, so every copy is checked
+    again. The repr is a frozen dataclass's.
     """
 
     __slots__ = ()

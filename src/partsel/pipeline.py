@@ -32,21 +32,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import enum
 import hashlib
 import itertools
 import os
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-from .params import ConfigurationError, InputFormatError, PrivacyParams, StrictViolationError, is_int
+from .params import RELEASE_MODES, ConfigurationError, IngestMode, InputFormatError, PrivacyParams, StrictViolationError, is_int
 from .primitive import OptPrimitive, keep_threshold
 from .truncated_geometric import TsgdParams, tsgd_cutoff, tsgd_inverse, tsgd_params
-
-
-class IngestMode(enum.Enum):
-    STRICT = "strict"
-    FIRST_WINS = "first-wins"
 
 
 class PartitionHistogram:
@@ -317,17 +311,17 @@ def _noisy_above(
 
 
 def _plan(
-    mode: str, budget: PrivacyParams | OptPrimitive, seed: int,
+    mode: str, budget: PrivacyParams, seed: int,
     public_keys: Iterable[str] | None = None, public_threshold: int | None = None,
 ) -> Callable[[PartitionHistogram], set[str] | dict[str, int]]:
     """The decision of ``mode`` as a function of the histogram, every value it runs with checked.
 
-    ``budget`` is the budget of one partition's decision, or in select mode also its built primitive.
+    ``budget`` is the budget of one partition's decision.
     """
     if not is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if mode == "select":
-        prim = budget if isinstance(budget, OptPrimitive) else OptPrimitive(budget)
+        prim = OptPrimitive(budget)
         keep = lambda n: keep_threshold(prim, n)
         return lambda hist: {key for key, _, _ in _hits(hist._counts.items(), keep, True, seed, b"select")}
     noise = tsgd_params(budget)
@@ -361,7 +355,7 @@ def select_partitions(hist: PartitionHistogram, prim: OptPrimitive, seed: int) -
     A key is kept when its uniform lies below T(n) = floor(pi(n) * 2^53), so
     its realised keep probability never exceeds ``pi(n)``.
     """
-    return _plan("select", prim, seed)(hist)
+    return _plan("select", prim.params, seed)(hist)
 
 
 def thresholded_release(hist: PartitionHistogram, params: PrivacyParams, seed: int) -> dict[str, int]:
@@ -406,8 +400,8 @@ def release(
     also take by the mode's plan, with their messages, and ``conflict`` by
     :func:`ingest`.
     """
-    if mode not in ("select", "release-counts", "dual"):
-        raise ConfigurationError(f"mode must be one of select, release-counts, dual, got {mode!r}")
+    if mode not in RELEASE_MODES:
+        raise ConfigurationError(f"mode must be one of {', '.join(RELEASE_MODES)}, got {mode!r}")
     dual = mode == "dual"
     if not dual and (public_keys is not None or public_threshold is not None):
         raise ConfigurationError("public keys and a public threshold apply only to dual mode")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .params import ConfigurationError, PrivacyParams, _Record, is_int
+from .params import ConfigurationError, PrivacyParams, _Record, _set, is_int
 from .primitive import _snap, crossover_exponent
 
 if TYPE_CHECKING:
@@ -26,12 +25,12 @@ class TsgdParams(_Record):
 
     ``delta`` caps the realised probability of the outcome +k, the only one a
     count of one user can be released on: :func:`tsgd_params` sets it to the
-    budget's effective delta, and the default 1 caps nothing. The class has no
-    ``__slots__``: the cached ``_bounds`` lives in the instance dict.
+    budget's effective delta, and the default 1 caps nothing.
     """
 
     _args = ("p", "k", "delta")
     _fields = (*_args, "c")
+    __slots__ = (*_fields, "_bounds")
 
     def __init__(self, p: float, k: int, delta: float = 1.0) -> None:
         if not 0.0 < 1.0 - p < 1.0:  # 1 - p == 1 would zero the normaliser
@@ -41,16 +40,16 @@ class TsgdParams(_Record):
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {delta}")
         q = 1.0 - p
-        self.__dict__.update(p=p, k=k, delta=delta, c=p / (1.0 + q - 2.0 * q ** (k + 1)))
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "delta", delta)
+        _set(self, "c", p / (1.0 + q - 2.0 * q ** (k + 1)))
+        _set(self, "_bounds", _Bounds(self))
 
     @property
     def eps(self) -> float:
         """The epsilon this noise corresponds to: p = 1 - e^-eps."""
         return -math.log1p(-self.p)
-
-    @cached_property
-    def _bounds(self) -> _Bounds:
-        return _Bounds(self)
 
 
 class _Bounds(dict):

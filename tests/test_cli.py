@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -20,12 +21,14 @@ from partsel import (
     LaplacePrimitive,
     OptPrimitive,
     PrivacyParams,
+    cli,
     percentile_n,
     pi_laplace,
     pi_opt,
+    pipeline,
 )
-from partsel.cli import _CONFLICT_MODES, _geomspace, main
-from partsel.pipeline import IngestMode
+from partsel.cli import _geomspace, _parser, main
+from partsel.params import RELEASE_MODES, IngestMode
 
 
 def _rows(output: str) -> list[dict]:
@@ -658,8 +661,16 @@ class TestUsageErrors:
         assert "argument --out" in result.output
         assert not (tmp_path / "missing").exists()
 
-    def test_conflict_choices_are_the_ingest_modes(self):
-        assert _CONFLICT_MODES == tuple(m.value for m in IngestMode)
+    def test_conflict_and_mode_choices_are_the_params_definitions(self):
+        (commands,) = _parser()._subparsers._group_actions
+        choices = {action.dest: action.choices for action in commands.choices["select"]._actions}
+        assert choices["conflict"] == [m.value for m in IngestMode]
+        assert choices["mode"] is RELEASE_MODES
+        assert partsel.IngestMode is pipeline.IngestMode is IngestMode
+        # No name is spelled out in cli.py ("select" is also the command's name).
+        names = {m.value for m in IngestMode} | set(RELEASE_MODES) - {"select"}
+        source = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        assert names.isdisjoint(node.value for node in ast.walk(source) if isinstance(node, ast.Constant))
 
 
 # A generated `select` run: mostly well-formed rows and arguments, with quoted
@@ -975,6 +986,36 @@ class TestProcessEntry:
         # A handler's output is flushed too, and nothing after the module runs.
         assert proc.stdout.endswith(b"handler printed\n")
         assert b"after the module" not in proc.stdout
+
+    @pytest.mark.parametrize(
+        ("tool", "report"),
+        [(["cProfile", "-m"], b"function calls"), (["profile", "-m"], b"function calls"),
+         (["trace", "--listfuncs", "--module"], b"functions called:")],
+        ids=["cProfile", "profile", "trace"],
+    )
+    def test_a_profiler_or_tracer_reports_after_the_run(self, tool, report):
+        # The tool reports once the module returns, which os._exit would prevent.
+        proc = _python(["-m", *tool, "partsel.cli", "probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"n,prob\n0,0\n1,1e-05\n")
+        assert report in proc.stdout
+
+    def test_exit_handlers_run_once_under_a_profiler(self, tmp_path):
+        marker = tmp_path / "marker"
+        script = (
+            "import atexit, runpy, sys\n"
+            "marker = sys.argv[1]\n"
+            "def handler():\n"
+            "    with open(marker, 'a', encoding='utf-8') as f:\n"
+            "        f.write('ran\\n')\n"
+            "atexit.register(handler)\n"
+            "sys.argv = ['cProfile', '-m', 'partsel.cli', *sys.argv[2:]]\n"
+            "runpy.run_module('cProfile', run_name='__main__')\n"
+        )
+        proc = _python(["-c", script, str(marker), "probs", "--epsilon", "1", "--delta", "1e-5", "--n-max", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert b"function calls" in proc.stdout
+        assert marker.read_text(encoding="utf-8") == "ran\n"
 
     def test_closed_stdout_leaves_a_file_output_standing(self, tmp_path):
         # A process started with file descriptor 1 closed has sys.stdout None.

@@ -2,8 +2,8 @@
 
 PrivacyParams, OptPrimitive, TsgdParams, LaplacePrimitive and GaussianPrimitive
 compare by type and value, print the repr a frozen dataclass of the same
-fields printed, refuse assignment and deletion, and rebuild their copies
-through the constructor.
+fields printed, hold their values in slots, refuse assignment and deletion,
+and rebuild their copies through the constructor.
 """
 
 import copy
@@ -20,7 +20,7 @@ BUDGET = PrivacyParams(1.0, 1e-5)
 
 
 def _tsgd_with_bounds() -> TsgdParams:
-    # A TsgdParams whose cached bounds are filled, so the instance dict holds more than the fields.
+    # A TsgdParams whose lazy bounds hold an entry computed on use, which no field or copy carries.
     t = tsgd_params(BUDGET)
     tsgd_cutoff(t, 3)
     return t
@@ -119,6 +119,12 @@ def test_attributes_cannot_be_assigned_or_deleted(name):
         with pytest.raises(AttributeError):
             delattr(value, attr)
     assert repr(value) == before
+
+
+@records
+def test_instances_have_no_dict(name):
+    value = RECORDS[name][0]()
+    assert not hasattr(value, "__dict__")
 
 
 @records
