@@ -356,8 +356,7 @@ def run() -> NoReturn:
         code = exc.code
     except BrokenPipeError:
         code = _stdout_gone()
-    # Exit handlers run before the final flush, as in the interpreter's own
-    # shutdown, so that what they print is written too.
+    # Exit handlers run before the final flush, so that what they print is written too.
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):
@@ -367,7 +366,8 @@ def run() -> NoReturn:
         code = _stdout_gone()
     except OSError:
         sys.exit(code)
-    if sys.getprofile() is None and sys.gettrace() is None:
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: cProfile hooks in here, not via setprofile
+    if not (sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6)))):
         os._exit(code)
     sys.exit(code)
 
