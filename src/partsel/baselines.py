@@ -252,11 +252,8 @@ def _log_delta_gaussian(sigma: float, epsilon: float, sensitivity: float) -> flo
     a = sensitivity / (2.0 * sigma)
     b = epsilon * sigma / sensitivity
     hi, lo = a - b, -a - b
-    # _log_ndtr with its common branch inlined, as a calibration makes about a
-    # dozen calls here. For x < 0, x <= -1 holds exactly when Cephes' test
-    # |x * sqrt(1/2)| >= sqrt(1/2) does.
-    x = math.log(0.5 * math.erfc(-hi * _SQRT1_2)) if -20.0 < hi <= -1.0 else _log_ndtr(hi)
-    y = epsilon + (math.log(0.5 * math.erfc(-lo * _SQRT1_2)) if -20.0 < lo <= -1.0 else _log_ndtr(lo))
+    x = _log_ndtr(hi)
+    y = epsilon + _log_ndtr(lo)
     if y >= x:
         return -math.inf
     return x + math.log1p(-math.exp(y - x))

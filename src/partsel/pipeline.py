@@ -4,28 +4,27 @@ Ingestion keeps one unique-user count per partition. Every per-partition
 decision draws on one 53-bit uniform integer: the top 53 bits of the
 partition key's BLAKE2b-64 digest (the key's UTF-8 bytes, keyed by the seed
 as 8 little-endian bytes and personalised by the mode: ``select``,
-``release`` or ``dual``). A decision therefore depends only on the seed, the
-mode, the key and its count, never on row order, shard layout or the other
-keys. Strict ingestion's counts do not depend on row order either, but
-first-wins keeps each user's earliest partitions in input order, so its
-counts, and the outputs drawn from them, can change with row order (ROADMAP
-item 4).
+``release`` or ``dual``). This is seed-derivation version 2. A decision
+therefore depends only on the seed, the mode, the key and its count, never
+on row order, shard layout or the other keys. Strict ingestion's counts do
+not depend on row order either, but first-wins keeps each user's earliest
+partitions in input order, so its counts, and the outputs drawn from them,
+can change with row order (ROADMAP item 4).
 
 Every mode decides its keys in one loop, ``_hits``, in plain Python on exact
 integers: each key's digest is compared, in the pass that makes it, with one
 integer per distinct count (the keep threshold, or in the count modes the
-least uniform whose noise clears the bound). The MAC and the shifts between
-the 64-bit digest and the 53-bit uniform live only there. Only the released
-keys are kept, and only they have their noise inverted from the integer CDF
-bounds.
+least uniform whose noise clears the bound). Only the released keys are
+kept, and only they have their noise inverted from the integer CDF bounds.
 
 Each mode's values are checked once, in ``_plan``, before any histogram
-exists: the seed, the budget (by building its primitive or noise), and dual
-mode's public threshold and keys. The mode functions are their plan applied
-to a histogram, so they raise :func:`release`'s messages. :func:`release`
-runs one release end to end, as ``partsel select`` does: it splits the
-budget, builds the plan, and only then calls :func:`ingest`, which checks
-its policy and bound before it reads a row.
+exists: the seed, the budget (by building its primitive or noise, then
+against the grid), and dual mode's public threshold and keys. ``_plan`` also
+builds the mode's keyed hash, once. The mode functions are their plan
+applied to a histogram, so they raise :func:`release`'s messages.
+:func:`release` runs one release end to end, as ``partsel select`` does: it
+splits the budget, builds the plan, and only then calls :func:`ingest`,
+which checks its policy and bound before it reads a row.
 """
 
 from __future__ import annotations
@@ -39,8 +38,13 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .params import RELEASE_MODES, ConfigurationError, IngestMode, InputFormatError, PrivacyParams, StrictViolationError, is_int
-from .primitive import OptPrimitive, keep_threshold
+from .primitive import GRID, GRID_BITS, OptPrimitive, keep_threshold
 from .truncated_geometric import TsgdParams, tsgd_cutoff, tsgd_inverse, tsgd_params
+
+# The widths of seed-derivation version 2.
+_SEED_BYTES = 8
+_DIGEST_BYTES = 8
+_SHIFT = 8 * _DIGEST_BYTES - GRID_BITS
 
 
 class PartitionHistogram:
@@ -266,46 +270,37 @@ def _not_utf8(path: str | os.PathLike, exc: UnicodeDecodeError) -> InputFormatEr
     return InputFormatError(f"file {os.fsdecode(path)!r} is not valid UTF-8: {exc.reason}")
 
 
-def _hits(
-    pairs: Iterable[tuple[str, int]],
-    cut: Callable[[int], int],
-    below: bool,
-    seed: int,
-    purpose: bytes,
-) -> list[tuple[str, int, int]]:
+def _hits(pairs: Iterable[tuple[str, int]], cut: Callable[[int], int], below: bool, mac) -> list[tuple[str, int, int]]:
     """(key, count, u) for each (key, count) pair whose uniform ``u`` is a hit.
 
-    ``u`` is the top 53 bits of the key's BLAKE2b-64 digest, keyed by the seed
-    and personalised by ``purpose``. A hit is ``u < cut(n)`` when ``below``
-    is true and ``u >= cut(n)`` otherwise, where ``cut`` is called once per
-    distinct count. Only the hits are kept.
+    ``u`` is the top 53 bits of the key's digest under ``mac``, the mode's
+    keyed BLAKE2b-64 from :func:`_plan`. A hit is ``u < cut(n)`` when
+    ``below`` is true and ``u >= cut(n)`` otherwise, where ``cut`` is called
+    once per distinct count. Only the hits are kept.
     """
-    mac = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"), person=purpose)
-    copy, from_bytes = mac.copy, int.from_bytes
-    # The digest read as a little-endian 64-bit integer has u in its top 53
-    # bits, so comparing it with c << 11 compares u with c.
+    copy, from_bytes, shift = mac.copy, int.from_bytes, _SHIFT
+    # The digest read as a little-endian integer has u in its top GRID_BITS
+    # bits, so comparing it with c << shift compares u with c.
     cuts: dict[int, int] = {}
     hits = []
     for key, n in pairs:
         try:
             word_cut = cuts[n]
         except KeyError:
-            word_cut = cuts[n] = cut(n) << 11
+            word_cut = cuts[n] = cut(n) << shift
         h = copy()
         h.update(key.encode("utf-8"))
         word = from_bytes(h.digest(), "little")
         if (word < word_cut) is below:
-            hits.append((key, n, word >> 11))
+            hits.append((key, n, word >> shift))
     return hits
 
 
-def _noisy_above(
-    noise: TsgdParams, pairs: Iterable[tuple[str, int]], bound: int, seed: int, purpose: bytes
-) -> dict[str, int]:
+def _noisy_above(noise: TsgdParams, pairs: Iterable[tuple[str, int]], bound: int, mac) -> dict[str, int]:
     """Key to noisy count of each (key, count) pair whose noised count exceeds ``bound``."""
     # n + X > bound exactly when u >= tsgd_cutoff(noise, bound - n + 1): one
     # comparison per key, and only the released keys are inverted.
-    hits = _hits(pairs, lambda n: tsgd_cutoff(noise, bound - n + 1), False, seed, purpose)
+    hits = _hits(pairs, lambda n: tsgd_cutoff(noise, bound - n + 1), False, mac)
     shifts = tsgd_inverse(noise, [u for _, _, u in hits])
     return {key: n + x for (key, n, _), x in zip(hits, shifts)}
 
@@ -318,16 +313,24 @@ def _plan(
 
     ``budget`` is the budget of one partition's decision.
     """
-    if not is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if not is_int(seed) or not 0 <= seed < 1 << 8 * _SEED_BYTES:
+        raise ConfigurationError(f"seed must be an integer in [0, 2^{8 * _SEED_BYTES}), got {seed!r}")
+    person = mode.split("-")[0].encode()  # select, release or dual
+    mac = hashlib.blake2b(digest_size=_DIGEST_BYTES, key=seed.to_bytes(_SEED_BYTES, "little"), person=person)
     if mode == "select":
         prim = OptPrimitive(budget)
+    else:
+        noise = tsgd_params(budget)
+        k = noise.k
+    # A table that leaves 0 at some count spends at least one grid step of delta.
+    delta = budget.effective_delta
+    if delta * GRID < 1:
+        raise ConfigurationError(f"effective delta {delta} too small: below 2^-{GRID_BITS}, one step of the uniform grid")
+    if mode == "select":
         keep = lambda n: keep_threshold(prim, n)
-        return lambda hist: {key for key, _, _ in _hits(hist._counts.items(), keep, True, seed, b"select")}
-    noise = tsgd_params(budget)
-    k = noise.k
+        return lambda hist: {key for key, _, _ in _hits(hist._counts.items(), keep, True, mac)}
     if mode == "release-counts":
-        return lambda hist: _noisy_above(noise, hist._counts.items(), k, seed, b"release")
+        return lambda hist: _noisy_above(noise, hist._counts.items(), k, mac)
     if not is_int(public_threshold) or not -k <= public_threshold <= k:
         raise ConfigurationError(
             f"public threshold must be an integer in [-k, k] = [{-k}, {k}], got {public_threshold!r}"
@@ -341,9 +344,9 @@ def _plan(
         counts = hist._counts
         private = ((key, n) for key, n in counts.items() if key not in public)
         # The private and public keys are disjoint, so one dict holds both releases.
-        released = _noisy_above(noise, private, k, seed, b"dual")
+        released = _noisy_above(noise, private, k, mac)
         public_ns = ((key, counts.get(key, 0)) for key in public)
-        released.update(_noisy_above(noise, public_ns, public_threshold, seed, b"dual"))
+        released.update(_noisy_above(noise, public_ns, public_threshold, mac))
         return released
 
     return dual

@@ -193,6 +193,10 @@ def pi_opt_many(prim: OptPrimitive, ns) -> np.ndarray:
     return probs[index].reshape(ns.shape)
 
 
+GRID_BITS = 53
+GRID = 1 << GRID_BITS  # each decision draws one uniform integer in [0, GRID)
+
+
 def keep_threshold(prim: OptPrimitive, n: int) -> int:
     """Integer keep threshold T(n) = floor(pi(n) * 2^53) for a count ``n``.
 
@@ -200,4 +204,4 @@ def keep_threshold(prim: OptPrimitive, n: int) -> int:
     kept, so the realised keep probability T(n) / 2^53 is ``pi(n)`` rounded
     down to the 2^-53 grid and never exceeds it.
     """
-    return math.floor(pi_opt(prim, n) * 2.0**53)
+    return math.floor(pi_opt(prim, n) * GRID)

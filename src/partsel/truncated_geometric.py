@@ -14,7 +14,7 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterable
 
 from .params import ConfigurationError, PrivacyParams, _Record, _set, is_int
-from .primitive import _snap, crossover_exponent
+from .primitive import GRID, _snap, crossover_exponent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,12 +63,12 @@ class _Bounds(dict):
     """
 
     def __init__(self, t: TsgdParams) -> None:
-        super().__init__({2 * t.k: 2**53})
+        super().__init__({2 * t.k: GRID})
         self._k, self._eps, self._ratio = t.k, t.eps, t.c / t.p
         # The float CDF rounds 1 - P(X = k) to the nearest multiple of 2^-53,
         # which can realise more than delta; round that mass down instead.
         top = 2 * t.k - 1
-        self[top] = max(self[top], 2**53 - math.floor(t.delta * 2.0**53))
+        self[top] = max(self[top], GRID - math.floor(t.delta * GRID))
 
     def __missing__(self, i: int) -> int:
         k, eps, ratio = self._k, self._eps, self._ratio
@@ -80,7 +80,7 @@ class _Bounds(dict):
             cdf = _tail_from_below(ratio, eps, k, i + 1)
         else:
             cdf = 1.0 - _tail_from_below(ratio, eps, k, 2 * k - i)
-        self[i] = bound = math.ceil(cdf * 2.0**53)
+        self[i] = bound = math.ceil(cdf * GRID)
         return bound
 
 
@@ -150,7 +150,7 @@ def tsgd_sample(t: TsgdParams, rng: np.random.Generator) -> int:
     not declare as a dependency.
     """
     # rng.random() is a multiple of 2^-53, so this is an exact 53-bit integer
-    return tsgd_inverse(t, (int(rng.random() * 2.0**53),))[0]
+    return tsgd_inverse(t, (int(rng.random() * GRID),))[0]
 
 
 def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -160,5 +160,5 @@ def tsgd_sample_many(t: TsgdParams, rng: np.random.Generator, size: int) -> np.n
     """
     import numpy as np
 
-    u53s = (rng.random(size) * 2.0**53).astype(np.uint64).tolist()
+    u53s = (rng.random(size) * GRID).astype(np.uint64).tolist()
     return np.array(tsgd_inverse(t, u53s), dtype=np.int64)

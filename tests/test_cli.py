@@ -576,9 +576,15 @@ class TestSelect:
             (["--epsilon", "5e-324", "--delta", "5e-324"],
              "effective budget (epsilon 5e-324, delta 5e-324) too small: the crossover counts "
              "of the optimal primitive overflow binary64"),
+            # Below one step of the uniform grid, 2^-53 (about 1.11e-16), in every mode.
+            (["--delta", "1e-17"], "effective delta 1e-17 too small: below 2^-53, one step of the uniform grid"),
+            (["--delta", "0"], "effective delta 0.0 too small: below 2^-53, one step of the uniform grid"),
+            (["--mode", "release-counts", "--delta", "1e-16"],
+             "effective delta 1e-16 too small: below 2^-53, one step of the uniform grid"),
         ],
         ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
-             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget"],
+             "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget",
+             "select-delta-1e-17", "select-delta-0", "count-mode-delta-1e-16"],
     )
     def test_release_values_are_checked_before_ingest(self, runner, tmp_path, flags, message):
         data = tmp_path / "rows.csv"

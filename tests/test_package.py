@@ -1,3 +1,4 @@
+import ast
 import re
 import shlex
 import sys
@@ -37,6 +38,38 @@ def test_errors_keep_their_identity_across_modules():
         assert getattr(partsel.pipeline, name) is error
         assert getattr(partsel.params, name) is error
         assert issubclass(error, ValueError)
+
+
+def test_the_grid_and_the_seed_derivation_are_each_written_once():
+    # The uniform grid's width is a literal only in GRID_BITS, and the seed
+    # key's and the digest's byte widths only in their definitions; every
+    # scale, shift, bound and byte width derives from them. The tests' own
+    # oracles keep their literals, so they stay independent of these.
+    package = Path(partsel.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    widths = ("GRID_BITS", "_SEED_BYTES", "_DIGEST_BYTES")
+    definitions, literals, shifts, calls = [], [], [], []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] in ([w] for w in widths):
+                definitions.append((module, ast.unparse(node)))
+            elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                literals.append((module, node.value))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)):
+                shifts.append(node.right)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    assert sorted(definitions) == [
+        ("pipeline", "_DIGEST_BYTES = 8"), ("pipeline", "_SEED_BYTES = 8"), ("primitive", "GRID_BITS = 53"),
+    ]
+    # 53, 2**53 and 2.0**53 (whose exponent is a 53) appear once: GRID_BITS's value.
+    assert [module for module, value in literals if value in (53, 2**53)] == ["primitive"]
+    assert not [value for module, value in literals if value == 2**64 or module == "pipeline" and value in (11, 64)]
+    assert not [right for right in shifts if isinstance(right, ast.Constant)]
+    # One keyed hash, built from the derivation's widths.
+    digest_sizes = [ast.unparse(k.value) for call in calls for k in call.keywords if k.arg == "digest_size"]
+    key_sizes = [ast.unparse(c.args[0]) for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "to_bytes"]
+    assert (digest_sizes, key_sizes) == (["_DIGEST_BYTES"], ["_SEED_BYTES"])
 
 
 def _readme_blocks(language: str) -> list[str]:

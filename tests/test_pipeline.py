@@ -18,6 +18,7 @@ from partsel import (
     ConfigurationError,
     IngestMode,
     InputFormatError,
+    Neighboring,
     OptPrimitive,
     PartitionHistogram,
     PrivacyParams,
@@ -636,6 +637,16 @@ class TestRelease:
             ({"params": PrivacyParams(5e-324, 5e-324)},
              "effective budget (epsilon 5e-324, delta 5e-324) too small: the crossover counts "
              "of the optimal primitive overflow binary64"),
+            # Below one step of the uniform grid, 2^-53 (about 1.11e-16), in every mode.
+            ({"params": PrivacyParams(1.0, 1e-17)},
+             "effective delta 1e-17 too small: below 2^-53, one step of the uniform grid"),
+            ({"params": PrivacyParams(1.0, 0.0)},
+             "effective delta 0.0 too small: below 2^-53, one step of the uniform grid"),
+            ({"mode": "release-counts", "params": PrivacyParams(1.0, 1e-16)},
+             "effective delta 1e-16 too small: below 2^-53, one step of the uniform grid"),
+            ({"mode": "dual", "params": PrivacyParams(1.0, 4e-16, Neighboring.REPLACE), "kappa": 2,
+              "public_keys": ["k1"], "public_threshold": 0},
+             "effective delta 1e-16 too small: below 2^-53, one step of the uniform grid"),
             ({"mode": "dual", "public_threshold": 0},
              "dual mode requires public keys and a public threshold"),
             ({"mode": "release-counts", "public_keys": ["k1"]},
@@ -648,7 +659,8 @@ class TestRelease:
         ],
         ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
              "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget",
-             "dual-without-keys", "keys-outside-dual", "empty-public-key", "kappa-0",
+             "select-delta-1e-17", "select-delta-0", "count-mode-delta-1e-16",
+             "dual-replace-delta-4e-16-kappa-2", "dual-without-keys", "keys-outside-dual", "empty-public-key", "kappa-0",
              "unknown-mode", "unknown-conflict"],
     )
     def test_arguments_are_checked_before_the_first_row_is_read(self, arguments, message):
@@ -676,12 +688,24 @@ class TestRelease:
             # select_partitions takes a built primitive, so the budget is refused as it is built.
             ({"params": PrivacyParams(5e-324, 5e-324)},
              lambda: select_partitions(_HIST, OptPrimitive(PrivacyParams(5e-324, 5e-324)), 0)),
+            ({"params": PrivacyParams(1.0, 1e-17)},
+             lambda: select_partitions(_HIST, OptPrimitive(PrivacyParams(1.0, 1e-17)), 0)),
+            ({"params": PrivacyParams(1.0, 0.0)},
+             lambda: select_partitions(_HIST, OptPrimitive(PrivacyParams(1.0, 0.0)), 0)),
+            ({"mode": "release-counts", "params": PrivacyParams(1.0, 1e-16)},
+             lambda: thresholded_release(_HIST, PrivacyParams(1.0, 1e-16), 0)),
+            ({"mode": "dual", "params": PrivacyParams(1.0, 4e-16, Neighboring.REPLACE), "kappa": 2,
+              "public_keys": ["k1"], "public_threshold": 0},
+             lambda: dual_threshold_release(
+                 _HIST, ["k1"], PrivacyParams(1.0, 4e-16, Neighboring.REPLACE).split(2), 0, 0)),
             ({"mode": "dual", "public_keys": ["k1", ""], "public_threshold": 0},
              lambda: dual_threshold_release(_HIST, ["k1", ""], PARAMS, 0, 0)),
         ],
         ids=["negative-seed", "seed-2^64", "count-mode-negative-seed", "dual-seed-2^64",
              "public-threshold-past-k", "count-mode-delta-1", "count-mode-epsilon-1e-17",
-             "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget", "empty-public-key"],
+             "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget", "select-delta-1e-17",
+             "select-delta-0", "count-mode-delta-1e-16", "dual-replace-delta-4e-16-kappa-2",
+             "empty-public-key"],
     )
     def test_mode_functions_raise_the_release_messages(self, arguments, call):
         def raised(run):
