@@ -12,6 +12,7 @@ import argparse
 import atexit
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
@@ -86,25 +87,45 @@ def _ceil(x: float) -> int | float:
     return math.ceil(x) if math.isfinite(x) else x
 
 
-def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
-    """Tabulate the keep probability pi(n) for one strategy."""
+def _curve(strategy: str, params: PrivacyParams, kappa: int = 1) -> tuple[object, Callable[[int], float]]:
+    """A strategy's primitive at this budget, and its keep probability pi(n).
+
+    ``gauss`` keeps the whole budget and scales its noise to sensitivity
+    sqrt(kappa); ``opt`` and ``laplace`` take the budget as given.
+    """
     from . import baselines
 
-    params = _params(epsilon, delta, neighboring)
     if strategy == "opt":
-        prim = OptPrimitive.from_params(params)
-        evaluate = lambda n: pi_opt(prim, n)
-        default_max = lambda: prim.n2 + 5 if params.effective_delta and params.effective_epsilon else 100
+        prim, pi = OptPrimitive.from_params(params), pi_opt
     elif strategy == "laplace":
-        lap = baselines.LaplacePrimitive.from_params(params)
-        evaluate = lambda n: baselines.pi_laplace(lap, n)
-        default_max = lambda: _ceil(lap.threshold) + _ceil(5.0 / lap.epsilon)
+        prim, pi = baselines.LaplacePrimitive.from_params(params), baselines.pi_laplace
     else:
-        gauss = baselines.gaussian_primitive(params, kappa)
-        evaluate = lambda n: baselines.pi_gaussian(gauss, n)
-        default_max = lambda: _ceil(gauss.threshold + 5.0 * gauss.sigma)
+        prim, pi = baselines.gaussian_primitive(params, kappa), baselines.pi_gaussian
+    return prim, functools.partial(pi, prim)
+
+
+def _search_upper(prim) -> int:
+    """Where a percentile search over a curve stops: n2 + 1 for the optimal
+    primitive, and 64 / epsilon counts past the threshold for a baseline."""
+    if isinstance(prim, OptPrimitive):
+        return prim.n2 + 1
+    span = 64.0 / prim.epsilon
+    if math.isinf(span):
+        raise ConfigurationError(f"epsilon {prim.epsilon} too small: the search bound 64 / epsilon overflows binary64")
+    return math.ceil(prim.threshold) + math.ceil(span)
+
+
+def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
+    """Tabulate the keep probability pi(n) for one strategy."""
+    params = _params(epsilon, delta, neighboring)
+    prim, pi = _curve(strategy, params, kappa)
     if n_max is None:
-        n_max = default_max()
+        if strategy == "opt":
+            n_max = prim.n2 + 5 if params.effective_delta and params.effective_epsilon else 100
+        elif strategy == "laplace":
+            n_max = _ceil(prim.threshold) + _ceil(5.0 / prim.epsilon)
+        else:
+            n_max = _ceil(prim.threshold + 5.0 * prim.sigma)
         if not n_max < _DEFAULT_ROWS_LIMIT:
             raise ConfigurationError(
                 f"the default table would have more than {_DEFAULT_ROWS_LIMIT} rows; "
@@ -112,33 +133,14 @@ def probs(epsilon, delta, n_max, strategy, kappa, neighboring, out) -> None:
             )
     elif n_max < 0:
         raise ConfigurationError(f"--n-max must be >= 0, got {n_max}")
-    _write_csv(out, ["n", "prob"], ((n, _fmt(evaluate(n))) for n in range(n_max + 1)))
-
-
-def _baseline_upper(baseline) -> int:
-    """Search bound for a Laplace or Gaussian baseline: 64 / epsilon counts past its threshold."""
-    span = 64.0 / baseline.epsilon
-    if math.isinf(span):
-        raise ConfigurationError(f"epsilon {baseline.epsilon} too small: the search bound 64 / epsilon overflows binary64")
-    return math.ceil(baseline.threshold) + math.ceil(span)
+    _write_csv(out, ["n", "prob"], ((n, _fmt(pi(n))) for n in range(n_max + 1)))
 
 
 def _percentile_row(params: PrivacyParams) -> list[int]:
     from . import baselines
 
-    prim = OptPrimitive.from_params(params)
-    lap = baselines.LaplacePrimitive.from_params(params)
-    opt_upper = prim.n2 + 1
-    lap_upper = _baseline_upper(lap)
-    row = [
-        baselines.percentile_n(lambda n: pi_opt(prim, n), q, upper=opt_upper)
-        for q in (0.05, 0.5, 0.95)
-    ]
-    row += [
-        baselines.percentile_n(lambda n: baselines.pi_laplace(lap, n), q, upper=lap_upper)
-        for q in (0.05, 0.5, 0.95)
-    ]
-    return row
+    bounded = [(pi, _search_upper(prim)) for prim, pi in (_curve("opt", params), _curve("laplace", params))]
+    return [baselines.percentile_n(pi, q, upper=upper) for pi, upper in bounded for q in (0.05, 0.5, 0.95)]
 
 
 def _geomspace(lo: float, hi: float, points: int) -> list[float]:
@@ -165,17 +167,11 @@ def midpoints(sweep, epsilon, delta, grid_min, grid_max, points, neighboring, ou
     if points < 1:
         raise ConfigurationError(f"--points must be >= 1, got {points}")
     if sweep == "eps":
-        lo = grid_min if grid_min is not None else 0.01
-        hi = grid_max if grid_max is not None else 3.0
-        grid = _geomspace(lo, hi, points)
-        budgets = [_params(e, delta, neighboring) for e in grid]
-        key = "eps"
+        key, lo, hi, budget = "eps", 0.01, 3.0, lambda e: _params(e, delta, neighboring)
     else:
-        lo = grid_min if grid_min is not None else 1e-12
-        hi = grid_max if grid_max is not None else 1e-3
-        grid = _geomspace(lo, hi, points)
-        budgets = [_params(epsilon, d, neighboring) for d in grid]
-        key = "del"
+        key, lo, hi, budget = "del", 1e-12, 1e-3, lambda d: _params(epsilon, d, neighboring)
+    grid = _geomspace(lo if grid_min is None else grid_min, hi if grid_max is None else grid_max, points)
+    budgets = [budget(g) for g in grid]
     rows = [_percentile_row(b) for b in budgets]
     header = [key, "opt05", "opt50", "opt95", "lap05", "lap50", "lap95"]
     _write_csv(out, header, ([_fmt(g)] + row for g, row in zip(grid, rows)))
@@ -196,17 +192,8 @@ def kappa_cmd(epsilon, delta, kappa_max, neighboring, out) -> None:
 
     def row(kap: int) -> list[int]:
         divided = params.split(kap)
-        prim = OptPrimitive.from_params(divided)
-        lap = baselines.LaplacePrimitive.from_params(divided)
-        gauss = baselines.gaussian_primitive(params, kap)
-        opt_mid = baselines.midpoint(lambda n: pi_opt(prim, n), upper=prim.n2 + 1)
-        lap_mid = baselines.midpoint(
-            lambda n: baselines.pi_laplace(lap, n), upper=_baseline_upper(lap)
-        )
-        gauss_mid = baselines.midpoint(
-            lambda n: baselines.pi_gaussian(gauss, n), upper=_baseline_upper(gauss)
-        )
-        return [kap, opt_mid, lap_mid, gauss_mid]
+        curves = [_curve("opt", divided), _curve("laplace", divided), _curve("gauss", params, kap)]
+        return [kap] + [baselines.midpoint(pi, upper=_search_upper(prim)) for prim, pi in curves]
 
     rows = [row(k) for k in range(1, kappa_max + 1)]
     _write_csv(out, ["kappa", "opt_mid", "lap_mid", "gauss_mid"], rows)
@@ -294,7 +281,8 @@ def _parser() -> argparse.ArgumentParser:
         default=0,
         help="The only secret of the release: anyone who knows it can recompute every key's "
         "uniform and read counts from the output, so use a random value and keep it private. "
-        "The default, %(default)s, protects nothing.",
+        "The default, %(default)s, protects nothing. A seed serves one release: a later release, "
+        "of the same input or not, needs another seed.",
     )
     p.add_argument(
         "--conflict",

@@ -229,7 +229,9 @@ def test_c10_pipeline_end_to_end():
 
 
 def test_c11_performance_and_memory():
-    """1e6 closed-form keep decisions in < 1 s."""
+    """1e6 closed-form keep probabilities of ``pi_opt_many``, with the draws
+    against them, in < 1 s. No release path runs ``pi_opt_many``: ``select``
+    decides through keyed digests, which this bound does not cover."""
     prim = OptPrimitive.from_params(PrivacyParams(1.0, 1e-5))
     rng = np.random.default_rng(0)
     ns = rng.integers(0, prim.n2 + 50, size=10**6)

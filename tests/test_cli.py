@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,20 @@ class TestKappa:
             ["probs", *budget, "--strategy", "gauss", *out],
         ]
         assert _modules_after(["numpy", "scipy"], argvs) == []
+
+
+def test_each_curve_is_built_at_one_call_site():
+    # probs, midpoints and kappa build every strategy's primitive and keep
+    # probability through one helper, so each constructor is called once.
+    source = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    constructors = {"OptPrimitive", "LaplacePrimitive", "gaussian_primitive"}
+    called = Counter(
+        getattr(part, "id", None) or getattr(part, "attr", None)
+        for call in ast.walk(source)
+        if isinstance(call, ast.Call)
+        for part in ast.walk(call.func)
+    )
+    assert {name: called[name] for name in constructors} == dict.fromkeys(constructors, 1)
 
 
 # sha256 of the sweep tables as the CLI writes them. The tables compare the

@@ -281,6 +281,16 @@ def _ingest_outcome(rows, mode: IngestMode, kappa: int):
         return type(exc), str(exc)
 
 
+# CSV bodies for the row rule: one to three fields, empty ones among them (a
+# lone empty field is a blank line), quoted commas, CRs and LFs, and LF or CRLF
+# line endings.
+_CSV_LINES = st.lists(
+    st.lists(st.sampled_from(["", "u1", "u2", "a", '""', '"a,b"', '"x\ny"', '"x\ry"', '"x\r\ny"']), min_size=1, max_size=3)
+    .map(",".join),
+    max_size=8,
+)
+
+
 class TestCsvIngest:
     """ingest(read_rows(src)) reads the CSV in one pass; it must agree with the rows read first."""
 
@@ -293,6 +303,20 @@ class TestCsvIngest:
         fused = _ingest_outcome(lambda: read_rows(_csv_source(tmp_path, data, kind)), mode, kappa)
         listed = _ingest_outcome(lambda: list(read_rows(_csv_source(tmp_path, data, kind))), mode, kappa)
         assert fused == listed
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=_CSV_LINES, eol=st.sampled_from(["\n", "\r\n"]))
+    @example(lines=["u1,a", 'u2,"x\r\ny"', "", "u1,b"], eol="\r\n")
+    @example(lines=["u1,a", "u2,"], eol="\n")
+    def test_reading_and_ingest_apply_one_row_rule(self, lines, eol):
+        # Both raise the same InputFormatError, or the rows read first ingest to the same counts.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(eol.join(["user_id,partition", *lines]) + eol)
+            listed = _ingest_outcome(lambda: list(read_rows(path)), IngestMode.FIRST_WINS, 10**6)
+            fused = _ingest_outcome(lambda: read_rows(path), IngestMode.FIRST_WINS, 10**6)
+        assert listed == fused
 
     @pytest.mark.parametrize("kind", ["path", "stream"])
     @pytest.mark.parametrize("later", [b"u9", b"u9,\xff"], ids=["malformed-row", "non-utf8"])
