@@ -31,11 +31,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import itertools
 import os
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
+
+# hashlib.blake2b is this same constructor; importing it from here keeps
+# hashlib, and the OpenSSL module it loads, out of a run.
+from _blake2 import blake2b
 
 from .params import RELEASE_MODES, ConfigurationError, IngestMode, InputFormatError, PrivacyParams, StrictViolationError, is_int
 from .primitive import GRID, GRID_BITS, OptPrimitive, keep_threshold
@@ -100,9 +103,9 @@ def ingest(
 
     Slot i maps each user to their i-th distinct partition, and is added only
     when some user first needs it, so work and memory follow the data, not the
-    bound. Past slot 1, a partition is held as the first copy of its string
-    met there, so those slots compare partitions by identity. The counts list
-    slot 1's partitions first, then those first met in slot 2, and so on.
+    bound. Every slot holds each partition string as it was read, and
+    compares it with a row's partition by value. The counts list slot 1's
+    partitions first, then those first met in slot 2, and so on.
 
     Given the rows of :func:`read_rows`, ingest reads the CSV in the same
     pass: a field of a csv row is always a string, so each row is checked
@@ -119,7 +122,7 @@ def ingest(
     further = max_partitions_per_user - 1
     first: dict[str, str] = {}  # slot 1
     more: list[dict[str, str]] = []  # slots 2, 3, ...
-    first_of, shared = first.setdefault, {}.setdefault
+    first_of = first.setdefault
     from_csv = isinstance(rows, _CsvRows)
     with rows.reader() if from_csv else contextlib.nullcontext(_checked(rows)) as pairs:
         for row in pairs:
@@ -134,9 +137,8 @@ def ingest(
                 raise _line_error(pairs)
             if first_of(user_id, partition) == partition:
                 continue
-            partition = shared(partition, partition)
             for slot in more:  # holding the user's partition, or free for it
-                if slot.setdefault(user_id, partition) is partition:
+                if slot.setdefault(user_id, partition) == partition:
                     break
             else:
                 if len(more) < further:
@@ -316,7 +318,7 @@ def _plan(
     if not is_int(seed) or not 0 <= seed < 1 << 8 * _SEED_BYTES:
         raise ConfigurationError(f"seed must be an integer in [0, 2^{8 * _SEED_BYTES}), got {seed!r}")
     person = mode.split("-")[0].encode()  # select, release or dual
-    mac = hashlib.blake2b(digest_size=_DIGEST_BYTES, key=seed.to_bytes(_SEED_BYTES, "little"), person=person)
+    mac = blake2b(digest_size=_DIGEST_BYTES, key=seed.to_bytes(_SEED_BYTES, "little"), person=person)
     if mode == "select":
         prim = OptPrimitive(budget)
     else:

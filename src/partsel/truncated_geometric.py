@@ -71,17 +71,23 @@ class _Bounds(dict):
         self[top] = max(self[top], GRID - math.floor(t.delta * GRID))
 
     def __missing__(self, i: int) -> int:
-        k, eps, ratio = self._k, self._eps, self._ratio
-        if not 0 <= i < 2 * k:
+        if not 0 <= i < 2 * self._k:
             raise KeyError(i)
-        # P(X <= i - k) is P(X >= k - i) by symmetry below the middle outcome,
-        # and 1 - P(X >= i - k + 1) from it up.
-        if i < k:
-            cdf = _tail_from_below(ratio, eps, k, i + 1)
-        else:
-            cdf = 1.0 - _tail_from_below(ratio, eps, k, 2 * k - i)
-        self[i] = bound = math.ceil(cdf * GRID)
+        # P(X <= i - k) is P(X >= k - i) by symmetry.
+        self[i] = bound = math.ceil(self.tail(self._k - i) * GRID)
         return bound
+
+    def tail(self, m: int) -> float:
+        """P(X >= m) in closed form: 0 above k, and 1 at and below -k."""
+        k, eps = self._k, self._eps
+        if m > k:
+            return 0.0
+        if m < 1:  # by symmetry, from m = 0 down
+            return 1.0 - self.tail(1 - m)
+        # c * (1-p)^k * (e^(a*eps) - 1) / (e^eps - 1) with a = k + 1 - m,
+        # rearranged so every factor stays in [0, 1] and no intermediate can
+        # overflow whatever k * eps is: (c/p) * e^(-m*eps) * (1 - e^(-a*eps)).
+        return self._ratio * math.exp(-m * eps) * -math.expm1((m - k - 1) * eps)
 
 
 def tsgd_params(params: PrivacyParams) -> TsgdParams:
@@ -106,24 +112,14 @@ def tsgd_params(params: PrivacyParams) -> TsgdParams:
     return TsgdParams(p=p, k=k, delta=delta)
 
 
-def _tail_from_below(ratio: float, eps: float, k: int, a: int) -> float:
-    # P(X >= k + 1 - a) for 0 < a <= k + 1 and ratio = c/p:
-    # c * (1-p)^k * (e^(a*eps) - 1) / (e^eps - 1), rearranged so every
-    # factor stays in [0, 1] and no intermediate can overflow whatever k * eps
-    # is: (c/p) * e^(-(k+1-a)*eps) * (1 - e^(-a*eps)).
-    return ratio * math.exp(-(k + 1.0 - a) * eps) * -math.expm1(-a * eps)
-
-
 def tsgd_tail(t: TsgdParams, mu: int, y: int) -> float:
-    """P(mu + X >= y): tail CDF of a noisy count, in closed form."""
-    if mu < y - t.k:
-        return 0.0
-    if mu >= y + t.k:
-        return 1.0
-    ratio, eps = t.c / t.p, t.eps
-    if mu <= y:
-        return min(1.0, _tail_from_below(ratio, eps, t.k, mu + t.k + 1 - y))
-    return max(0.0, 1.0 - _tail_from_below(ratio, eps, t.k, t.k + y - mu))
+    """P(mu + X >= y): tail CDF of a noisy count, in closed form.
+
+    This is the tail the integer CDF bounds realise, before their ceiling
+    (and, at the top bound, before delta's cap): bound i is
+    ``ceil(tsgd_tail(t, 0, k - i) * 2^53)``.
+    """
+    return min(1.0, max(0.0, t._bounds.tail(y - mu)))
 
 
 def tsgd_inverse(t: TsgdParams, u53s: Iterable[int]) -> list[int]:

@@ -34,6 +34,7 @@ from partsel import (
     write_release,
     write_selection,
 )
+from partsel import pipeline
 from partsel.primitive import keep_threshold
 from partsel.truncated_geometric import tsgd_inverse, tsgd_tail
 
@@ -122,6 +123,13 @@ class TestIngest:
         ),
         kappa=st.integers(min_value=1, max_value=3),
         mode=st.sampled_from(list(IngestMode)),
+    )
+    # Equal partitions of two or more characters held as distinct string
+    # objects, met by slots 2 and 3: each slot compares them by value.
+    @example(
+        rows=[("u1", "a"), *(("u1", "".join(p)) for p in ("bb", "ccc", "ccc", "bb"))],
+        kappa=3,
+        mode=IngestMode.STRICT,
     )
     def test_ingest_equals_pair_replay(self, rows, kappa, mode):
         _assert_ingest_replays(rows, rows, kappa, mode)
@@ -480,6 +488,11 @@ def _plain_uniform(seed: int, purpose: bytes, key: str) -> int:
 
 
 class TestPerKeyDecisions:
+    def test_keyed_hash_is_hashlib_blake2b(self):
+        # The pipeline takes the constructor from _blake2, where hashlib takes
+        # it from too, so that a run need not load OpenSSL.
+        assert pipeline.blake2b is hashlib.blake2b
+
     def test_decisions_follow_the_plain_per_key_rule(self):
         # Each key decided on its own uniform u, the top 53 bits of its plain
         # keyed digest: kept when u < T(n); noised to n + tsgd_inverse(u) and

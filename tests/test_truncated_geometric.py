@@ -266,6 +266,13 @@ class TestIntegerBounds:
                 float(released), rel=1e-9, abs=2.0**-53
             )
 
+    def test_bounds_are_the_ceiled_tail(self, budget_grid):
+        # The top bound, 2k - 1, is capped by delta and the last, 2k, is 2^53.
+        for params in budget_grid + [PrivacyParams(1e-3, 1e-5)]:
+            t = tsgd_params(params)
+            for i in range(2 * t.k - 1):
+                assert t._bounds[i] == math.ceil(tsgd_tail(t, 0, t.k - i) * 2**53), (params, i)
+
     def test_lazy_bounds_above_a_million(self):
         t = tsgd_params(PrivacyParams(1e-6, 1e-10))
         k = t.k
