@@ -162,6 +162,8 @@ def _checked(rows: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
     """
     for i, row in enumerate(rows, start=1):
         try:
+            if isinstance(row, str):  # it would unpack by character
+                raise TypeError
             user_id, partition = row
         except (TypeError, ValueError):
             raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
@@ -219,7 +221,9 @@ class _CsvRows:
                     raise InputFormatError(f"line 1: expected header 'user_id,partition', got {header!r}")
                 yield reader
             except csv.Error as exc:
-                raise InputFormatError(f"line {reader.line_num}: {exc}") from None
+                # csv counts a line once it has checked that the line is
+                # text, so a count of 0 means the first line was not text.
+                raise InputFormatError(f"line {reader.line_num or 1}: {exc}") from None
             except UnicodeDecodeError as exc:
                 if is_path:
                     raise _not_utf8(source, exc) from None
@@ -337,6 +341,8 @@ def _plan(
         raise ConfigurationError(
             f"public threshold must be an integer in [-k, k] = [{-k}, {k}], got {public_threshold!r}"
         )
+    if isinstance(public_keys, str):  # a set of it would hold its characters
+        raise ConfigurationError(f"public keys must be an iterable of keys, not a string, got {public_keys!r}")
     public = set(public_keys)
     for key in public:
         if not isinstance(key, str) or not key:

@@ -47,15 +47,17 @@ def _python(args: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProc
     """A child interpreter that imports this ``partsel``, run on ``args`` with
     stderr captured as bytes.
 
+    The child runs without ``site`` (``python -S``), and ``PYTHONPATH`` names
+    only the directory of this ``partsel``. So site-packages is off its path,
+    and it runs on the standard library alone: a third-party import fails it.
     Its stdout is block-buffered (``PYTHONUNBUFFERED`` is dropped), so a short
     output is written only by the flush at the end of the process.
     """
     src = str(Path(partsel.__file__).resolve().parents[1])
-    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120, check=False
+        [sys.executable, "-S", *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120, check=False
     )
 
 
@@ -64,6 +66,7 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
     each argv, one after another in a fresh interpreter."""
     script = (
         "import json, sys\n"
+        "assert sys.flags.no_site\n"
         "import partsel\n"
         "packages = json.loads(sys.argv[2])\n"
         "for argv in json.loads(sys.argv[1]):\n"
@@ -82,22 +85,50 @@ def _modules_after(packages: list[str], argvs: list[list[str]]) -> list[str]:
 
 
 def _select_argvs(tmp_path) -> list[list[str]]:
-    """`--help` and one `select` run in each mode, on a small input under ``tmp_path``.
+    """`--help` and one `select` run in each mode, on small inputs under ``tmp_path``.
 
-    The count mode also runs at a budget whose noise bound k is 8.5 million.
+    The count mode also runs at a budget whose noise bound k is 8.5 million,
+    and dual mode at kappa 3 under first-wins on users with 4 or 5
+    partitions, so ingest fills slots 2 and 3 and drops rows.
     """
-    data = tmp_path / "rows.csv"
+    data, multi = tmp_path / "rows.csv", tmp_path / "multi.csv"
     _write_input(data, [(f"u{i}", f"p{i % 5}") for i in range(50)])
+    _write_input(multi, [(f"u{i % 97}", f"p{i * 7 % 13}") for i in range(400)])
     public = tmp_path / "public.txt"
     public.write_text("p1\nabsent\n", encoding="utf-8")
-    run = ["select", "--input", str(data), "--out", str(tmp_path / "out")]
+    out = ["--out", str(tmp_path / "out")]
+    run = ["select", "--input", str(data), *out]
     common = [*run, "--epsilon", "1", "--delta", "0.05"]
+    dual = ["--mode", "dual", "--public-file", str(public), "--public-threshold", "0"]
     return [
         ["--help"],
         common,
         [*common, "--mode", "release-counts"],
-        [*common, "--mode", "dual", "--public-file", str(public), "--public-threshold", "0"],
+        [*common, *dual],
         [*run, "--mode", "release-counts", "--epsilon", "1e-6", "--delta", "1e-10"],
+        ["select", "--input", str(multi), *out, "--epsilon", "1", "--delta", "0.05",
+         "--kappa", "3", "--conflict", "first-wins", *dual],
+    ]
+
+
+def _table_argvs(tmp_path) -> list[list[str]]:
+    """`probs` with each strategy, `midpoints` with each sweep and `kappa`, writing under ``tmp_path``.
+
+    Among them are a one-point sweep, kappa 1 under replace, and a Laplace
+    table at epsilon 1e-307: probs computes no search bound, so an epsilon
+    whose bound 64 / epsilon overflows still tabulates when --n-max sets the
+    table's size.
+    """
+    out = ["--out", str(tmp_path / "out")]
+    budget = ["--epsilon", "1", "--delta", "1e-5"]
+    return [
+        *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
+        ["probs", "--strategy", "laplace", "--epsilon", "1e-307", "--delta", "1e-5", "--n-max", "3", *out],
+        ["midpoints", "--sweep", "eps", "--points", "3", *out],
+        ["midpoints", "--sweep", "delta", "--points", "3", *out],
+        ["midpoints", "--sweep", "delta", "--points", "1", *out],
+        ["kappa", *budget, "--kappa-max", "2", *out],
+        ["kappa", *budget, "--kappa-max", "1", "--neighboring", "replace", *out],
     ]
 
 
@@ -136,8 +167,15 @@ class TestProbs:
         assert all(b >= a for a, b in zip(probs, probs[1:]))
 
     def test_invalid_budget_exits_2(self, runner):
-        result = runner.invoke(main, ["probs", "--epsilon", "1", "--delta", "2.0"])
-        assert result.exit_code == 2
+        for argv in (
+            ["--epsilon", "1", "--delta", "2.0"],
+            # An infinite Laplace threshold.
+            ["--strategy", "laplace", "--epsilon", "5e-324", "--delta", "1e-5", "--n-max", "5"],
+            # A default table past the row limit, which would otherwise not end.
+            ["--epsilon", "1e-300", "--delta", "1e-300"],
+        ):
+            result = runner.invoke(main, ["probs", *argv])
+            assert result.exit_code == 2
 
 
 class TestMidpoints:
@@ -910,35 +948,42 @@ class TestImports:
     def test_no_command_loads_a_heavy_module(self, tmp_path):
         # dataclasses loads inspect, ast, dis and tokenize; click, numpy and
         # scipy are not runtime dependencies at all.
-        out = ["--out", str(tmp_path / "out")]
-        budget = ["--epsilon", "1", "--delta", "1e-5"]
-        argvs = [
-            *_select_argvs(tmp_path),
-            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
-            ["midpoints", "--sweep", "eps", "--points", "3", *out],
-            ["midpoints", "--sweep", "delta", "--points", "3", *out],
-            ["kappa", *budget, "--kappa-max", "2", *out],
-        ]
+        argvs = [*_select_argvs(tmp_path), *_table_argvs(tmp_path)]
         assert _modules_after(["click", "dataclasses", "inspect", "numpy", "scipy"], argvs) == []
 
     def test_help_and_select_load_no_baselines(self, tmp_path):
-        assert "partsel.baselines" not in _modules_after(["partsel"], _select_argvs(tmp_path))
+        # Keyed BLAKE2b comes from _blake2, so no OpenSSL through hashlib either.
+        loaded = _modules_after(["partsel", "hashlib", "_hashlib"], _select_argvs(tmp_path))
+        assert "partsel.baselines" not in loaded
+        assert "hashlib" not in loaded and "_hashlib" not in loaded
 
     def test_baseline_commands_load_no_pipeline(self, tmp_path):
-        out = ["--out", str(tmp_path / "out")]
-        budget = ["--epsilon", "1", "--delta", "1e-5"]
-        argvs = [
-            *(["probs", *budget, "--strategy", s, *out] for s in ("opt", "laplace", "gauss")),
-            ["midpoints", "--sweep", "eps", "--points", "3", *out],
-            ["midpoints", "--sweep", "delta", "--points", "3", *out],
-            ["kappa", *budget, "--kappa-max", "2", *out],
-        ]
-        loaded = _modules_after(["partsel"], argvs)
+        loaded = _modules_after(["partsel"], _table_argvs(tmp_path))
         assert "partsel.baselines" in loaded
         assert "partsel.pipeline" not in loaded
 
     def test_import_partsel_loads_no_submodule(self):
         assert _modules_after(["partsel"], []) == ["partsel"]
+
+    def test_every_module_compiles_and_imports_without_a_warning(self, tmp_path):
+        # An empty bytecode cache makes the child compile each module from
+        # source, so a warning at compile, such as an invalid escape, fails it
+        # as one at import does.
+        script = (
+            "import importlib, pkgutil\n"
+            "import partsel\n"
+            "names = [f'partsel.{m.name}' for m in pkgutil.iter_modules(partsel.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(*names)\n"
+        )
+        cache = tmp_path / "pycache"
+        cache.mkdir()
+        proc = _python(["-W", "error", "-X", f"pycache_prefix={cache}", "-c", script])
+        assert proc.returncode == 0, proc.stderr.decode()
+        package = Path(partsel.__file__).parent
+        modules = sorted(f"partsel.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__")
+        assert proc.stdout.decode().split() == modules
 
 
 class TestProcessEntry:
@@ -959,11 +1004,12 @@ class TestProcessEntry:
     )
     def test_process_matches_main_in_process(self, tmp_path, monkeypatch, argv, code):
         # Keys that need quoting or are not ASCII, each held by 40 users.
+        keys = ["a,b", "\u00e9", "x\ny", 'q"2']
         rows, strict = tmp_path / "rows.csv", tmp_path / "strict.csv"
         with open(rows, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["user_id", "partition"])
-            writer.writerows((f"u{k}-{i}", key) for k, key in enumerate(["a,b", "\u00e9", "x\ny"]) for i in range(40))
+            writer.writerows((f"u{k}-{i}", key) for k, key in enumerate(keys) for i in range(40))
         _write_input(strict, [("u1", "a"), ("u1", "b")])
         argv = [arg.format(rows=rows, strict=strict) for arg in argv]
         monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help and usage to
@@ -980,6 +1026,10 @@ class TestProcessEntry:
             code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
         )
         assert proc.stdout if code == 0 else proc.stderr
+        if argv[0] == "select" and code == 0:
+            # 40 users put each key past every threshold at (5, 0.1): a reader gets every key back.
+            kept = list(csv.reader(io.StringIO(proc.stdout.decode("utf-8"), newline="")))
+            assert kept == [[key] for key in sorted(keys)]
 
     @pytest.mark.parametrize(
         ("argv", "code"),

@@ -91,8 +91,10 @@ class TestIngest:
             (("u9", "a", "b"), "expected (user_id, partition), got ('u9', 'a', 'b')"),
             ((7, "a"), "user_id and partition must be nonempty strings"),
             (("u9", ""), "user_id and partition must be nonempty strings"),
+            # Two characters would unpack as a pair.
+            ("ua", "expected (user_id, partition), got 'ua'"),
         ],
-        ids=["not-iterable", "three-fields", "int-user", "empty-partition"],
+        ids=["not-iterable", "three-fields", "int-user", "empty-partition", "string"],
     )
     def test_first_offending_row_raises(self, bad, message):
         # A row that is not a pair of nonempty strings raises with its row
@@ -243,6 +245,11 @@ class TestCsvReader:
         ):
             with pytest.raises(InputFormatError, match=f"line {line}:"):
                 list(read_rows(io.StringIO("user_id,partition\n" + body)))
+
+    def test_a_binary_stream_fails_at_line_1(self):
+        for source in (io.BytesIO(b"user_id,partition\nu,a\n"), iter([b"user_id,partition\n", b"u,a\n"])):
+            with pytest.raises(InputFormatError, match=r"^line 1: .*\(the file should be opened in text mode\)$"):
+                ingest(read_rows(source))
 
     def test_rejects_non_utf8_stream(self):
         raw = io.BytesIO(b"user_id,partition\nu1,\xff\n")
@@ -690,6 +697,8 @@ class TestRelease:
              "public keys and a public threshold apply only to dual mode"),
             ({"mode": "dual", "public_keys": ["k1", ""], "public_threshold": 0},
              "public keys must be nonempty strings, got ''"),
+            ({"mode": "dual", "public_keys": "p1", "public_threshold": 0},
+             "public keys must be an iterable of keys, not a string, got 'p1'"),
             ({"kappa": 0}, "kappa must be a positive integer, got 0"),
             ({"mode": "counts"}, "mode must be one of select, release-counts, dual, got 'counts'"),
             ({"conflict": "last-wins"}, "'last-wins' is not a valid IngestMode"),
@@ -697,8 +706,8 @@ class TestRelease:
         ids=["negative-seed", "seed-2^64", "public-threshold-past-k", "count-mode-delta-1",
              "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget",
              "select-delta-1e-17", "select-delta-0", "count-mode-delta-1e-16",
-             "dual-replace-delta-4e-16-kappa-2", "dual-without-keys", "keys-outside-dual", "empty-public-key", "kappa-0",
-             "unknown-mode", "unknown-conflict"],
+             "dual-replace-delta-4e-16-kappa-2", "dual-without-keys", "keys-outside-dual", "empty-public-key",
+             "string-public-keys", "kappa-0", "unknown-mode", "unknown-conflict"],
     )
     def test_arguments_are_checked_before_the_first_row_is_read(self, arguments, message):
         with pytest.raises(ValueError) as info:
@@ -737,12 +746,14 @@ class TestRelease:
                  _HIST, ["k1"], PrivacyParams(1.0, 4e-16, Neighboring.REPLACE).split(2), 0, 0)),
             ({"mode": "dual", "public_keys": ["k1", ""], "public_threshold": 0},
              lambda: dual_threshold_release(_HIST, ["k1", ""], PARAMS, 0, 0)),
+            ({"mode": "dual", "public_keys": "p1", "public_threshold": 0},
+             lambda: dual_threshold_release(_HIST, "p1", PARAMS, 0, 0)),
         ],
         ids=["negative-seed", "seed-2^64", "count-mode-negative-seed", "dual-seed-2^64",
              "public-threshold-past-k", "count-mode-delta-1", "count-mode-epsilon-1e-17",
              "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget", "select-delta-1e-17",
              "select-delta-0", "count-mode-delta-1e-16", "dual-replace-delta-4e-16-kappa-2",
-             "empty-public-key"],
+             "empty-public-key", "string-public-keys"],
     )
     def test_mode_functions_raise_the_release_messages(self, arguments, call):
         def raised(run):
