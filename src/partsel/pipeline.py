@@ -17,13 +17,13 @@ integer per distinct count (the keep threshold, or in the count modes the
 least uniform whose noise clears the bound). Only the released keys are
 kept, and only they have their noise inverted from the integer CDF bounds.
 
-Each mode's values are checked once, in ``_plan``, before any histogram
-exists: the seed, the budget (by building its primitive or noise, then
-against the grid), and dual mode's public threshold and keys. ``_plan`` also
-builds the mode's keyed hash, once. The mode functions are their plan
-applied to a histogram, so they raise :func:`release`'s messages.
-:func:`release` runs one release end to end, as ``partsel select`` does: it
-splits the budget, builds the plan, and only then calls :func:`ingest`,
+Every value of a release but the conflict policy is checked once, in
+``_plan``, before any histogram exists: the mode, dual mode's public
+configuration, kappa (by splitting the nominal budget), the seed, the budget
+(by building its primitive or noise, then against the grid), and dual mode's
+public threshold and keys. ``_plan`` also builds the mode's keyed hash, once.
+The mode functions are their plan applied to a histogram, so they raise
+:func:`release`'s messages. :func:`release` is the plan, then :func:`ingest`,
 which checks its policy and bound before it reads a row.
 """
 
@@ -161,12 +161,10 @@ def _checked(rows: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
     raised only once every row before it has been ingested.
     """
     for i, row in enumerate(rows, start=1):
-        try:
-            if isinstance(row, str):  # it would unpack by character
-                raise TypeError
-            user_id, partition = row
-        except (TypeError, ValueError):
-            raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}") from None
+        # Any other iterable would unpack: a string by character, a set in hash order.
+        if not isinstance(row, (tuple, list)) or len(row) != 2:
+            raise InputFormatError(f"row {i}: expected (user_id, partition), got {row!r}")
+        user_id, partition = row
         if not (isinstance(user_id, str) and isinstance(partition, str) and user_id and partition):
             raise InputFormatError(f"row {i}: user_id and partition must be nonempty strings")
         yield user_id, partition
@@ -312,13 +310,23 @@ def _noisy_above(noise: TsgdParams, pairs: Iterable[tuple[str, int]], bound: int
 
 
 def _plan(
-    mode: str, budget: PrivacyParams, seed: int,
-    public_keys: Iterable[str] | None = None, public_threshold: int | None = None,
+    mode: str, params: PrivacyParams, seed: int,
+    public_keys: Iterable[str] | None = None, public_threshold: int | None = None, kappa: int = 1,
 ) -> Callable[[PartitionHistogram], set[str] | dict[str, int]]:
     """The decision of ``mode`` as a function of the histogram, every value it runs with checked.
 
-    ``budget`` is the budget of one partition's decision.
+    ``params`` is the nominal budget, and each partition's decision spends
+    ``params.split(kappa)``. The checks run in this order: the mode; public
+    keys and a threshold given in dual mode and only there; kappa; the seed;
+    the budget; the grid floor; the threshold; the keys.
     """
+    if mode not in RELEASE_MODES:
+        raise ConfigurationError(f"mode must be one of {', '.join(RELEASE_MODES)}, got {mode!r}")
+    if mode != "dual" and (public_keys is not None or public_threshold is not None):
+        raise ConfigurationError("public keys and a public threshold apply only to dual mode")
+    if mode == "dual" and (public_keys is None or public_threshold is None):
+        raise ConfigurationError("dual mode requires public keys and a public threshold")
+    budget = params.split(kappa)
     if not is_int(seed) or not 0 <= seed < 1 << 8 * _SEED_BYTES:
         raise ConfigurationError(f"seed must be an integer in [0, 2^{8 * _SEED_BYTES}), got {seed!r}")
     person = mode.split("-")[0].encode()  # select, release or dual
@@ -407,18 +415,10 @@ def release(
     which alone takes ``public_keys`` and ``public_threshold``, and needs both.
 
     Every argument is checked before the first row is read, so a bad one
-    raises on any input: ``kappa`` by the split, the values the mode functions
-    also take by the mode's plan, with their messages, and ``conflict`` by
-    :func:`ingest`.
+    raises on any input: all but ``conflict`` by the mode's plan, which the
+    mode functions run too, and ``conflict`` by :func:`ingest`.
     """
-    if mode not in RELEASE_MODES:
-        raise ConfigurationError(f"mode must be one of {', '.join(RELEASE_MODES)}, got {mode!r}")
-    dual = mode == "dual"
-    if not dual and (public_keys is not None or public_threshold is not None):
-        raise ConfigurationError("public keys and a public threshold apply only to dual mode")
-    if dual and (public_keys is None or public_threshold is None):
-        raise ConfigurationError("dual mode requires public keys and a public threshold")
-    plan = _plan(mode, params.split(kappa), seed, public_keys, public_threshold)
+    plan = _plan(mode, params, seed, public_keys, public_threshold, kappa)
     return plan(ingest(rows, conflict, kappa))
 
 

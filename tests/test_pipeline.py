@@ -93,8 +93,12 @@ class TestIngest:
             (("u9", ""), "user_id and partition must be nonempty strings"),
             # Two characters would unpack as a pair.
             ("ua", "expected (user_id, partition), got 'ua'"),
+            # A set would unpack in hash order, a dict as its two keys; the
+            # set's repr follows hash order too.
+            ({"u9", "a"}, f"expected (user_id, partition), got {repr({'u9', 'a'})}"),
+            ({"u9": 0, "a": 0}, "expected (user_id, partition), got {'u9': 0, 'a': 0}"),
         ],
-        ids=["not-iterable", "three-fields", "int-user", "empty-partition", "string"],
+        ids=["not-iterable", "three-fields", "int-user", "empty-partition", "string", "set", "dict"],
     )
     def test_first_offending_row_raises(self, bad, message):
         # A row that is not a pair of nonempty strings raises with its row
@@ -700,6 +704,9 @@ class TestRelease:
             ({"mode": "dual", "public_keys": "p1", "public_threshold": 0},
              "public keys must be an iterable of keys, not a string, got 'p1'"),
             ({"kappa": 0}, "kappa must be a positive integer, got 0"),
+            # The public configuration is checked before kappa.
+            ({"mode": "select", "public_threshold": 0, "kappa": 0},
+             "public keys and a public threshold apply only to dual mode"),
             ({"mode": "counts"}, "mode must be one of select, release-counts, dual, got 'counts'"),
             ({"conflict": "last-wins"}, "'last-wins' is not a valid IngestMode"),
         ],
@@ -707,7 +714,8 @@ class TestRelease:
              "count-mode-epsilon-1e-17", "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget",
              "select-delta-1e-17", "select-delta-0", "count-mode-delta-1e-16",
              "dual-replace-delta-4e-16-kappa-2", "dual-without-keys", "keys-outside-dual", "empty-public-key",
-             "string-public-keys", "kappa-0", "unknown-mode", "unknown-conflict"],
+             "string-public-keys", "kappa-0", "public-threshold-outside-dual-and-kappa-0", "unknown-mode",
+             "unknown-conflict"],
     )
     def test_arguments_are_checked_before_the_first_row_is_read(self, arguments, message):
         with pytest.raises(ValueError) as info:
@@ -748,12 +756,14 @@ class TestRelease:
              lambda: dual_threshold_release(_HIST, ["k1", ""], PARAMS, 0, 0)),
             ({"mode": "dual", "public_keys": "p1", "public_threshold": 0},
              lambda: dual_threshold_release(_HIST, "p1", PARAMS, 0, 0)),
+            ({"mode": "dual", "public_threshold": 0},
+             lambda: dual_threshold_release(_HIST, None, PARAMS, 0, 0)),
         ],
         ids=["negative-seed", "seed-2^64", "count-mode-negative-seed", "dual-seed-2^64",
              "public-threshold-past-k", "count-mode-delta-1", "count-mode-epsilon-1e-17",
              "dual-epsilon-3e-17-kappa-3", "select-subnormal-budget", "select-delta-1e-17",
              "select-delta-0", "count-mode-delta-1e-16", "dual-replace-delta-4e-16-kappa-2",
-             "empty-public-key", "string-public-keys"],
+             "empty-public-key", "string-public-keys", "dual-without-keys"],
     )
     def test_mode_functions_raise_the_release_messages(self, arguments, call):
         def raised(run):
